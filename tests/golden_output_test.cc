@@ -20,6 +20,7 @@
 #include "oo7/generator.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
+#include "storage/buffer_pool.h"
 
 #ifndef ODBGC_GOLDEN_DIR
 #error "ODBGC_GOLDEN_DIR must be defined by the build"
@@ -114,6 +115,178 @@ TEST(GoldenOutputTest, SagaWithPerCollectionVerifierMatchesPlainRun) {
   verified.verifier_runs = plain.verifier_runs;
   EXPECT_EQ(StripBuildInfo(SimResultToJson(plain)),
             StripBuildInfo(SimResultToJson(verified)));
+}
+
+// The replay goldens come from clean runs, so they never show the
+// optional report objects. This synthetic result turns every one of them
+// on and gives every scalar its own nonzero value, so a field that is
+// dropped, renamed, reordered or swapped with a neighbour shows up as a
+// byte diff.
+class Counter {
+ public:
+  uint64_t Next() { return next_++; }
+  double NextDouble() { return static_cast<double>(next_++) + 0.25; }
+
+ private:
+  uint64_t next_ = 1;
+};
+
+CollectionRecord SyntheticCollection(Counter& n, Phase phase) {
+  CollectionRecord r;
+  r.index = n.Next();
+  r.overwrite_time = n.Next();
+  r.app_io = n.Next();
+  r.gc_io_delta = n.Next();
+  r.partition = static_cast<PartitionId>(n.Next());
+  r.bytes_reclaimed = n.Next();
+  r.bytes_live = n.Next();
+  r.db_used_bytes = n.Next();
+  r.actual_garbage_pct = n.NextDouble();
+  r.estimated_garbage_pct = n.NextDouble();
+  r.target_garbage_pct = n.NextDouble();
+  r.next_dt = n.Next();
+  r.phase = phase;
+  return r;
+}
+
+PhaseStats SyntheticPhase(Counter& n, Phase phase) {
+  PhaseStats p;
+  p.phase = phase;
+  p.events = n.Next();
+  p.app_io = n.Next();
+  p.gc_io = n.Next();
+  p.pointer_overwrites = n.Next();
+  p.collections = n.Next();
+  p.bytes_reclaimed = n.Next();
+  p.garbage_pct.Add(n.NextDouble());
+  p.garbage_pct.Add(n.NextDouble());
+  return p;
+}
+
+QuarantineEvent SyntheticQuarantine(Counter& n, CorruptionKind kind) {
+  QuarantineEvent q;
+  q.detected_event = n.Next();
+  q.partition = static_cast<PartitionId>(n.Next());
+  q.kind = static_cast<decltype(q.kind)>(kind);
+  q.repaired_event = n.Next();
+  return q;
+}
+
+SimResult SyntheticResult() {
+  Counter n;
+  SimResult r;
+  r.clock.app_io = n.Next();
+  r.clock.gc_io = n.Next();
+  r.clock.pointer_overwrites = n.Next();
+  r.clock.events = n.Next();
+  r.clock.collections = n.Next();
+  r.clock.db_used_bytes = n.Next();
+  r.clock.bytes_allocated = n.Next();
+  r.clock.partitions = n.Next();
+  r.collections = n.Next();
+  r.window_opened = true;
+  r.measured_app_io = n.Next();
+  r.measured_gc_io = n.Next();
+  r.achieved_gc_io_pct = n.NextDouble();
+  r.garbage_pct.Add(n.NextDouble());
+  r.garbage_pct.Add(n.NextDouble());
+  r.garbage_pct.Add(n.NextDouble());
+  r.window_reclaimed_bytes = n.Next();
+  r.total_reclaimed_bytes = n.Next();
+  r.total_reclaimed_objects = n.Next();
+  r.final_db_used_bytes = n.Next();
+  r.final_actual_garbage_bytes = n.Next();
+  r.final_partition_count = static_cast<size_t>(n.Next());
+  r.buffer_hits = n.Next();
+  r.buffer_misses = n.Next();
+  r.disk_app_ms = n.NextDouble();
+  r.disk_gc_ms = n.NextDouble();
+  r.disk_sequential_transfers = n.Next();
+  r.disk_random_transfers = n.Next();
+  r.dt_min_clamps = n.Next();
+  r.dt_max_clamps = n.Next();
+  r.idle_collections = n.Next();
+  r.idle_gc_io = n.Next();
+  r.crashes = n.Next();
+  r.recoveries = n.Next();
+  r.recovery_rollbacks = n.Next();
+  r.recovery_rollforwards = n.Next();
+  r.recovery_redo_updates = n.Next();
+  r.verifier_runs = n.Next();
+  r.io_retries = n.Next();
+  r.io_read_failures = n.Next();
+  r.io_write_failures = n.Next();
+  r.torn_writes = n.Next();
+  r.torn_repairs = n.Next();
+  r.checksum_failures = n.Next();
+  r.bitflips_injected = n.Next();
+  r.decays_armed = n.Next();
+  r.device_faults = n.Next();
+  r.pages_scrubbed = n.Next();
+  r.scrub_detections = n.Next();
+  r.partitions_quarantined = n.Next();
+  r.partitions_repaired = n.Next();
+  r.repair_pages_rewritten = n.Next();
+  r.collections_aborted_corrupt = n.Next();
+  r.quarantine_log.push_back(
+      SyntheticQuarantine(n, CorruptionKind::kChecksum));
+  r.quarantine_log.push_back(SyntheticQuarantine(n, CorruptionKind::kScrub));
+  r.governor_yellow_entries = n.Next();
+  r.governor_red_entries = n.Next();
+  r.governor_boost_collections = n.Next();
+  r.governor_emergency_collections = n.Next();
+  r.governor_gc_io = n.Next();
+  r.safe_mode_entries = n.Next();
+  r.safe_mode_exits = n.Next();
+  r.peak_utilization_pct_x100 = n.Next() * 100 + 37;
+  r.log.push_back(SyntheticCollection(n, Phase::kGenDb));
+  r.log.push_back(SyntheticCollection(n, Phase::kTraverse));
+  r.phase_stats.push_back(SyntheticPhase(n, Phase::kGenDb));
+  r.phase_stats.push_back(SyntheticPhase(n, Phase::kReorg1));
+  return r;
+}
+
+obs::PolicyDecisionRecord SyntheticDecision(Counter& n,
+                                            obs::DecisionReason reason,
+                                            const char* policy) {
+  obs::PolicyDecisionRecord d;
+  d.seq = n.Next();
+  d.tick = n.Next();
+  d.event = n.Next();
+  d.collection = n.Next();
+  d.app_io = n.Next();
+  d.gc_io = n.Next();
+  d.io_pct = n.NextDouble();
+  d.garbage_pct = n.NextDouble();
+  d.actual_garbage_bytes = n.Next();
+  d.estimate_bytes = n.Next();
+  d.estimator_spread_bytes = n.Next();
+  d.db_used_bytes = n.Next();
+  d.collection_gc_io = n.Next();
+  d.bytes_reclaimed = n.Next();
+  d.policy = policy;
+  d.reason = reason;
+  d.chosen_interval = n.NextDouble();
+  d.next_threshold = n.Next();
+  d.target = n.NextDouble();
+  return d;
+}
+
+TEST(GoldenOutputTest, AllReportSectionsAreByteIdentical) {
+  CheckAgainstGolden(
+      "all_sections_report.json",
+      StripBuildInfo(SimResultToJson(SyntheticResult(),
+                                     /*include_collection_log=*/true)));
+}
+
+TEST(GoldenOutputTest, DecisionJsonlIsByteIdentical) {
+  Counter n;
+  SimResult r;
+  r.decisions.push_back(
+      SyntheticDecision(n, obs::DecisionReason::kSlopeSolve, "saga"));
+  r.decisions.push_back(
+      SyntheticDecision(n, obs::DecisionReason::kBudgetGrant, "saio"));
+  CheckAgainstGolden("decisions.jsonl", DecisionsToJsonl(r));
 }
 
 }  // namespace
