@@ -30,7 +30,7 @@ void Collector::SaveState(SnapshotWriter& w) const {
   w.U64(attempts_);
   w.U64(crashes_);
   w.Bool(commit_protocol_);
-  w.U8(static_cast<uint8_t>(crash_point_));
+  SaveField(w, crash_point_);
   w.U64(crash_attempt_);
 }
 
@@ -40,12 +40,7 @@ void Collector::RestoreState(SnapshotReader& r) {
   attempts_ = r.U64();
   crashes_ = r.U64();
   commit_protocol_ = r.Bool();
-  const uint8_t point = r.U8();
-  if (point > static_cast<uint8_t>(CrashPoint::kMidRememberedSet)) {
-    r.MarkMalformed("bad crash point in collector state");
-    return;
-  }
-  crash_point_ = static_cast<CrashPoint>(point);
+  LoadField(r, crash_point_);
   crash_attempt_ = r.U64();
   journal_ = Journal();
 }

@@ -85,56 +85,6 @@ std::vector<PolicyDecisionRecord> DecisionLedger::Records() const {
   return out;
 }
 
-namespace {
-
-void SaveRecord(SnapshotWriter& w, const PolicyDecisionRecord& r) {
-  w.U64(r.seq);
-  w.U64(r.tick);
-  w.U64(r.event);
-  w.U64(r.collection);
-  w.U64(r.app_io);
-  w.U64(r.gc_io);
-  w.F64(r.io_pct);
-  w.F64(r.garbage_pct);
-  w.U64(r.actual_garbage_bytes);
-  w.U64(r.estimate_bytes);
-  w.U64(r.estimator_spread_bytes);
-  w.U64(r.db_used_bytes);
-  w.U64(r.collection_gc_io);
-  w.U64(r.bytes_reclaimed);
-  w.Str(r.policy);
-  w.U8(static_cast<uint8_t>(r.reason));
-  w.F64(r.chosen_interval);
-  w.U64(r.next_threshold);
-  w.F64(r.target);
-}
-
-PolicyDecisionRecord RestoreRecord(SnapshotReader& r) {
-  PolicyDecisionRecord rec;
-  rec.seq = r.U64();
-  rec.tick = r.U64();
-  rec.event = r.U64();
-  rec.collection = r.U64();
-  rec.app_io = r.U64();
-  rec.gc_io = r.U64();
-  rec.io_pct = r.F64();
-  rec.garbage_pct = r.F64();
-  rec.actual_garbage_bytes = r.U64();
-  rec.estimate_bytes = r.U64();
-  rec.estimator_spread_bytes = r.U64();
-  rec.db_used_bytes = r.U64();
-  rec.collection_gc_io = r.U64();
-  rec.bytes_reclaimed = r.U64();
-  rec.policy = r.Str();
-  rec.reason = static_cast<DecisionReason>(r.U8());
-  rec.chosen_interval = r.F64();
-  rec.next_threshold = r.U64();
-  rec.target = r.F64();
-  return rec;
-}
-
-}  // namespace
-
 void DecisionLedger::SaveState(SnapshotWriter& w) const {
   w.Tag("DLG0");
   w.U64(total_);
@@ -142,7 +92,7 @@ void DecisionLedger::SaveState(SnapshotWriter& w) const {
   // Oldest-first, so restore can refill a ring of any capacity and keep
   // the newest suffix.
   for (size_t i = 0; i < ring_.size(); ++i) {
-    SaveRecord(w, ring_[(head_ + i) % ring_.size()]);
+    SaveField(w, ring_[(head_ + i) % ring_.size()]);
   }
   w.Tag("DLGE");
 }
@@ -154,7 +104,8 @@ void DecisionLedger::RestoreState(SnapshotReader& r) {
   ring_.clear();
   head_ = 0;
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    PolicyDecisionRecord rec = RestoreRecord(r);
+    PolicyDecisionRecord rec;
+    LoadField(r, rec);
     if (ring_.size() < capacity_) {
       ring_.push_back(std::move(rec));
     } else {

@@ -6,10 +6,7 @@
 #include <string>
 #include <vector>
 
-namespace odbgc {
-class SnapshotReader;
-class SnapshotWriter;
-}  // namespace odbgc
+#include "util/fields.h"
 
 namespace odbgc::obs {
 
@@ -45,31 +42,49 @@ enum class DecisionReason : uint8_t {
 // Stable wire name for a reason code ("budget_solve", ...).
 const char* DecisionReasonName(DecisionReason r);
 
+}  // namespace odbgc::obs
+
+namespace odbgc {
+template <>
+struct EnumTraits<obs::DecisionReason> {
+  static constexpr obs::DecisionReason kLast =
+      obs::DecisionReason::kBreakerClose;
+  static const char* Name(obs::DecisionReason r) {
+    return obs::DecisionReasonName(r);
+  }
+};
+}  // namespace odbgc
+
+namespace odbgc::obs {
+
 // One policy decision: the run context the controller saw (filled by the
 // simulation just before the policy's OnCollection/OnIdleCollection) plus
-// what the policy decided (filled by the policy's cold recording path).
+// what the policy decided (filled by the policy's cold recording path:
+// policy, reason, chosen_interval, next_threshold, target). Rows are in
+// decision-JSONL order.
+#define ODBGC_POLICY_DECISION_FIELDS(X)                                   \
+  X(uint64_t, seq, 0)         /* 0-based decision index, never reused */  \
+  X(uint64_t, tick, 0)        /* logical tick at decision time */         \
+  X(uint64_t, event, 0)       /* trace event cursor at decision time */   \
+  X(uint64_t, collection, 0)  /* 1-based collection index; 0 if idle */   \
+  X(std::string, policy, {})  /* RatePolicy::name() */                    \
+  X(DecisionReason, reason, DecisionReason::kIntervalElapsed)             \
+  X(double, chosen_interval, 0.0)  /* policy-clock units to next trigger */ \
+  X(uint64_t, next_threshold, 0)   /* absolute clock threshold armed */   \
+  X(double, target, 0.0)  /* io%% (saio/coupled), garbage%% (saga); or 0 */ \
+  X(double, io_pct, 0.0)       /* GC share of all transfers, percent */   \
+  X(double, garbage_pct, 0.0)  /* oracle garbage / used bytes, percent */ \
+  X(uint64_t, app_io, 0)       /* cumulative application transfers */     \
+  X(uint64_t, gc_io, 0)        /* cumulative GC transfers */              \
+  X(uint64_t, actual_garbage_bytes, 0)  /* whole-database oracle */       \
+  X(uint64_t, estimate_bytes, 0)  /* the policy's own estimator view */   \
+  X(uint64_t, estimator_spread_bytes, 0)  /* max-min across estimators */ \
+  X(uint64_t, db_used_bytes, 0)                                           \
+  X(uint64_t, collection_gc_io, 0)  /* this collection's copy traffic */  \
+  X(uint64_t, bytes_reclaimed, 0)   /* this collection's reclaim */
+
 struct PolicyDecisionRecord {
-  // --- context ---
-  uint64_t seq = 0;          // 0-based decision index, never reused
-  uint64_t tick = 0;         // logical tick at decision time
-  uint64_t event = 0;        // trace event cursor at decision time
-  uint64_t collection = 0;   // 1-based collection index; 0 for idle decisions
-  uint64_t app_io = 0;       // cumulative application transfers
-  uint64_t gc_io = 0;        // cumulative GC transfers
-  double io_pct = 0.0;       // GC share of all transfers so far, percent
-  double garbage_pct = 0.0;  // oracle garbage / used bytes, percent
-  uint64_t actual_garbage_bytes = 0;    // whole-database verifier oracle
-  uint64_t estimate_bytes = 0;          // the policy's own estimator view
-  uint64_t estimator_spread_bytes = 0;  // max-min across attached estimators
-  uint64_t db_used_bytes = 0;
-  uint64_t collection_gc_io = 0;  // this collection's copy traffic
-  uint64_t bytes_reclaimed = 0;   // this collection's reclaim
-  // --- decision ---
-  std::string policy;  // RatePolicy::name()
-  DecisionReason reason = DecisionReason::kIntervalElapsed;
-  double chosen_interval = 0.0;  // policy-clock units until the next trigger
-  uint64_t next_threshold = 0;   // absolute clock threshold armed
-  double target = 0.0;  // io%% (saio/coupled) or garbage%% (saga); else 0
+  ODBGC_FIELD_TABLE(ODBGC_POLICY_DECISION_FIELDS)
 };
 
 // Bounded ring of the most recent decisions. Writes are two-phase: the

@@ -17,281 +17,6 @@ constexpr size_t kHeaderSize = 48;
 constexpr size_t kFooterSize = 8;
 
 // ---------------------------------------------------------------------
-// Simulation state serialization helpers.
-
-void SaveClock(SnapshotWriter& w, const SimClock& c) {
-  w.U64(c.app_io);
-  w.U64(c.gc_io);
-  w.U64(c.pointer_overwrites);
-  w.U64(c.events);
-  w.U64(c.collections);
-  w.U64(c.db_used_bytes);
-  w.U64(c.bytes_allocated);
-  w.U64(c.partitions);
-}
-
-SimClock LoadClock(SnapshotReader& r) {
-  SimClock c;
-  c.app_io = r.U64();
-  c.gc_io = r.U64();
-  c.pointer_overwrites = r.U64();
-  c.events = r.U64();
-  c.collections = r.U64();
-  c.db_used_bytes = r.U64();
-  c.bytes_allocated = r.U64();
-  c.partitions = r.U64();
-  return c;
-}
-
-void SaveStats(SnapshotWriter& w, const RunningStats& s) {
-  const RunningStats::Raw raw = s.raw();
-  w.U64(raw.count);
-  w.F64(raw.mean);
-  w.F64(raw.m2);
-  w.F64(raw.min);
-  w.F64(raw.max);
-}
-
-RunningStats LoadStats(SnapshotReader& r) {
-  RunningStats::Raw raw;
-  raw.count = static_cast<size_t>(r.U64());
-  raw.mean = r.F64();
-  raw.m2 = r.F64();
-  raw.min = r.F64();
-  raw.max = r.F64();
-  return RunningStats::FromRaw(raw);
-}
-
-Phase LoadPhase(SnapshotReader& r) {
-  const uint8_t v = r.U8();
-  if (v > static_cast<uint8_t>(Phase::kReorg2)) {
-    r.MarkMalformed("bad phase value in snapshot");
-    return Phase::kNone;
-  }
-  return static_cast<Phase>(v);
-}
-
-void SaveCollectionRecord(SnapshotWriter& w, const CollectionRecord& rec) {
-  w.U64(rec.index);
-  w.U64(rec.overwrite_time);
-  w.U64(rec.app_io);
-  w.U64(rec.gc_io_delta);
-  w.U32(rec.partition);
-  w.U64(rec.bytes_reclaimed);
-  w.U64(rec.bytes_live);
-  w.U64(rec.db_used_bytes);
-  w.F64(rec.actual_garbage_pct);
-  w.F64(rec.estimated_garbage_pct);
-  w.F64(rec.target_garbage_pct);
-  w.U64(rec.next_dt);
-  w.U8(static_cast<uint8_t>(rec.phase));
-}
-
-CollectionRecord LoadCollectionRecord(SnapshotReader& r) {
-  CollectionRecord rec;
-  rec.index = r.U64();
-  rec.overwrite_time = r.U64();
-  rec.app_io = r.U64();
-  rec.gc_io_delta = r.U64();
-  rec.partition = r.U32();
-  rec.bytes_reclaimed = r.U64();
-  rec.bytes_live = r.U64();
-  rec.db_used_bytes = r.U64();
-  rec.actual_garbage_pct = r.F64();
-  rec.estimated_garbage_pct = r.F64();
-  rec.target_garbage_pct = r.F64();
-  rec.next_dt = r.U64();
-  rec.phase = LoadPhase(r);
-  return rec;
-}
-
-void SavePhaseStats(SnapshotWriter& w, const PhaseStats& p) {
-  w.U8(static_cast<uint8_t>(p.phase));
-  w.U64(p.events);
-  w.U64(p.app_io);
-  w.U64(p.gc_io);
-  w.U64(p.pointer_overwrites);
-  w.U64(p.collections);
-  w.U64(p.bytes_reclaimed);
-  SaveStats(w, p.garbage_pct);
-}
-
-PhaseStats LoadPhaseStats(SnapshotReader& r) {
-  PhaseStats p;
-  p.phase = LoadPhase(r);
-  p.events = r.U64();
-  p.app_io = r.U64();
-  p.gc_io = r.U64();
-  p.pointer_overwrites = r.U64();
-  p.collections = r.U64();
-  p.bytes_reclaimed = r.U64();
-  p.garbage_pct = LoadStats(r);
-  return p;
-}
-
-// Everything in SimResult except the telemetry snapshot, which is not
-// checkpointed (see Simulation::SaveState's contract).
-void SaveResult(SnapshotWriter& w, const SimResult& res) {
-  w.Tag("RSLT");
-  SaveClock(w, res.clock);
-  w.U64(res.collections);
-  w.Bool(res.window_opened);
-  w.U64(res.measured_app_io);
-  w.U64(res.measured_gc_io);
-  w.F64(res.achieved_gc_io_pct);
-  SaveStats(w, res.garbage_pct);
-  w.U64(res.window_reclaimed_bytes);
-  w.U64(res.total_reclaimed_bytes);
-  w.U64(res.total_reclaimed_objects);
-  w.U64(res.final_db_used_bytes);
-  w.U64(res.final_actual_garbage_bytes);
-  w.U64(res.final_partition_count);
-  w.U64(res.buffer_hits);
-  w.U64(res.buffer_misses);
-  w.F64(res.disk_app_ms);
-  w.F64(res.disk_gc_ms);
-  w.U64(res.disk_sequential_transfers);
-  w.U64(res.disk_random_transfers);
-  w.U64(res.dt_min_clamps);
-  w.U64(res.dt_max_clamps);
-  w.U64(res.idle_collections);
-  w.U64(res.idle_gc_io);
-  w.U64(res.crashes);
-  w.U64(res.recoveries);
-  w.U64(res.recovery_rollbacks);
-  w.U64(res.recovery_rollforwards);
-  w.U64(res.recovery_redo_updates);
-  w.U64(res.verifier_runs);
-  w.U64(res.io_retries);
-  w.U64(res.io_read_failures);
-  w.U64(res.io_write_failures);
-  w.U64(res.torn_writes);
-  w.U64(res.torn_repairs);
-  w.U64(res.checksum_failures);
-  w.U64(res.bitflips_injected);
-  w.U64(res.decays_armed);
-  w.U64(res.device_faults);
-  w.U64(res.pages_scrubbed);
-  w.U64(res.scrub_detections);
-  w.U64(res.partitions_quarantined);
-  w.U64(res.partitions_repaired);
-  w.U64(res.repair_pages_rewritten);
-  w.U64(res.collections_aborted_corrupt);
-  w.U64(res.governor_yellow_entries);
-  w.U64(res.governor_red_entries);
-  w.U64(res.governor_boost_collections);
-  w.U64(res.governor_emergency_collections);
-  w.U64(res.governor_gc_io);
-  w.U64(res.safe_mode_entries);
-  w.U64(res.safe_mode_exits);
-  w.U64(res.peak_utilization_pct_x100);
-  w.U64(res.quarantine_log.size());
-  for (const QuarantineEvent& q : res.quarantine_log) {
-    w.U64(q.detected_event);
-    w.U32(q.partition);
-    w.U8(q.kind);
-    w.U64(q.repaired_event);
-  }
-  w.U64(res.log.size());
-  for (const CollectionRecord& rec : res.log) SaveCollectionRecord(w, rec);
-  w.U64(res.phases.size());
-  for (const PhaseTransition& t : res.phases) {
-    w.U8(static_cast<uint8_t>(t.phase));
-    w.U64(t.at_collection);
-    w.U64(t.at_event);
-    w.U64(t.at_overwrite);
-  }
-  w.U64(res.phase_stats.size());
-  for (const PhaseStats& p : res.phase_stats) SavePhaseStats(w, p);
-}
-
-void LoadResult(SnapshotReader& r, SimResult* res) {
-  r.Tag("RSLT");
-  res->clock = LoadClock(r);
-  res->collections = r.U64();
-  res->window_opened = r.Bool();
-  res->measured_app_io = r.U64();
-  res->measured_gc_io = r.U64();
-  res->achieved_gc_io_pct = r.F64();
-  res->garbage_pct = LoadStats(r);
-  res->window_reclaimed_bytes = r.U64();
-  res->total_reclaimed_bytes = r.U64();
-  res->total_reclaimed_objects = r.U64();
-  res->final_db_used_bytes = r.U64();
-  res->final_actual_garbage_bytes = r.U64();
-  res->final_partition_count = static_cast<size_t>(r.U64());
-  res->buffer_hits = r.U64();
-  res->buffer_misses = r.U64();
-  res->disk_app_ms = r.F64();
-  res->disk_gc_ms = r.F64();
-  res->disk_sequential_transfers = r.U64();
-  res->disk_random_transfers = r.U64();
-  res->dt_min_clamps = r.U64();
-  res->dt_max_clamps = r.U64();
-  res->idle_collections = r.U64();
-  res->idle_gc_io = r.U64();
-  res->crashes = r.U64();
-  res->recoveries = r.U64();
-  res->recovery_rollbacks = r.U64();
-  res->recovery_rollforwards = r.U64();
-  res->recovery_redo_updates = r.U64();
-  res->verifier_runs = r.U64();
-  res->io_retries = r.U64();
-  res->io_read_failures = r.U64();
-  res->io_write_failures = r.U64();
-  res->torn_writes = r.U64();
-  res->torn_repairs = r.U64();
-  res->checksum_failures = r.U64();
-  res->bitflips_injected = r.U64();
-  res->decays_armed = r.U64();
-  res->device_faults = r.U64();
-  res->pages_scrubbed = r.U64();
-  res->scrub_detections = r.U64();
-  res->partitions_quarantined = r.U64();
-  res->partitions_repaired = r.U64();
-  res->repair_pages_rewritten = r.U64();
-  res->collections_aborted_corrupt = r.U64();
-  res->governor_yellow_entries = r.U64();
-  res->governor_red_entries = r.U64();
-  res->governor_boost_collections = r.U64();
-  res->governor_emergency_collections = r.U64();
-  res->governor_gc_io = r.U64();
-  res->safe_mode_entries = r.U64();
-  res->safe_mode_exits = r.U64();
-  res->peak_utilization_pct_x100 = r.U64();
-  const uint64_t quarantine_count = r.U64();
-  res->quarantine_log.clear();
-  for (uint64_t i = 0; i < quarantine_count && r.ok(); ++i) {
-    QuarantineEvent q;
-    q.detected_event = r.U64();
-    q.partition = r.U32();
-    q.kind = r.U8();
-    q.repaired_event = r.U64();
-    res->quarantine_log.push_back(q);
-  }
-  const uint64_t log_count = r.U64();
-  res->log.clear();
-  for (uint64_t i = 0; i < log_count && r.ok(); ++i) {
-    res->log.push_back(LoadCollectionRecord(r));
-  }
-  const uint64_t phase_count = r.U64();
-  res->phases.clear();
-  for (uint64_t i = 0; i < phase_count && r.ok(); ++i) {
-    PhaseTransition t;
-    t.phase = LoadPhase(r);
-    t.at_collection = r.U64();
-    t.at_event = r.U64();
-    t.at_overwrite = r.U64();
-    res->phases.push_back(t);
-  }
-  const uint64_t stats_count = r.U64();
-  res->phase_stats.clear();
-  for (uint64_t i = 0; i < stats_count && r.ok(); ++i) {
-    res->phase_stats.push_back(LoadPhaseStats(r));
-  }
-}
-
-// ---------------------------------------------------------------------
 // File-level helpers.
 
 bool ReadWholeFile(const std::string& path, std::string* out) {
@@ -487,18 +212,21 @@ uint64_t ConfigFingerprint(const SimConfig& config) {
 
 void Simulation::SaveState(SnapshotWriter& w) const {
   w.Tag("SIM0");
-  SaveClock(w, clock_);
-  SaveResult(w, result_);
-  w.U8(static_cast<uint8_t>(current_phase_));
+  SaveField(w, clock_);
+  // Everything in SimResult except the telemetry outputs, which Finish
+  // rebuilds from the telemetry blob below.
+  w.Tag("RSLT");
+  SaveField(w, result_);
+  SaveField(w, current_phase_);
   w.Bool(phase_open_);
-  SavePhaseStats(w, phase_accum_);
-  SaveClock(w, phase_base_clock_);
+  SaveField(w, phase_accum_);
+  SaveField(w, phase_base_clock_);
   w.U64(phase_base_collections_);
   w.U64(phase_base_reclaimed_);
   w.U64(window_app_io_base_);
   w.U64(window_gc_io_base_);
   w.U64(window_reclaimed_base_);
-  SaveStats(w, whole_run_garbage_pct_);
+  SaveField(w, whole_run_garbage_pct_);
   w.Bool(last_estimate_valid_);
   w.F64(last_estimate_error_pp_);
   store_->SaveState(w);
@@ -530,18 +258,19 @@ void Simulation::SaveState(SnapshotWriter& w) const {
 
 void Simulation::RestoreState(SnapshotReader& r) {
   r.Tag("SIM0");
-  clock_ = LoadClock(r);
-  LoadResult(r, &result_);
-  current_phase_ = LoadPhase(r);
+  LoadField(r, clock_);
+  r.Tag("RSLT");
+  LoadField(r, result_);
+  LoadField(r, current_phase_);
   phase_open_ = r.Bool();
-  phase_accum_ = LoadPhaseStats(r);
-  phase_base_clock_ = LoadClock(r);
+  LoadField(r, phase_accum_);
+  LoadField(r, phase_base_clock_);
   phase_base_collections_ = r.U64();
   phase_base_reclaimed_ = r.U64();
   window_app_io_base_ = r.U64();
   window_gc_io_base_ = r.U64();
   window_reclaimed_base_ = r.U64();
-  whole_run_garbage_pct_ = LoadStats(r);
+  LoadField(r, whole_run_garbage_pct_);
   last_estimate_valid_ = r.Bool();
   last_estimate_error_pp_ = r.F64();
   store_->RestoreState(r);

@@ -62,7 +62,10 @@ const char* CheckpointErrorName(CheckpointError error);
 // estimators and the telemetry blob, plus the governor counters in the
 // result block; the config fingerprint covers max_db_bytes and the
 // governor knobs.
-inline constexpr uint32_t kCheckpointVersion = 5;
+// v6: the clock, the result block and the decision and I/O records
+// follow their field tables (util/fields.h), so their fields are in
+// report order; enum bytes are range-checked on load.
+inline constexpr uint32_t kCheckpointVersion = 6;
 inline constexpr uint32_t kCheckpointFooterMagic = 0x54504b43;  // "CKPT"
 
 // Hash of the configuration fields that determine simulation behavior.

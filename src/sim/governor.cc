@@ -163,7 +163,7 @@ void PressureGovernor::ExitSafeMode() {
 
 void PressureGovernor::SaveState(SnapshotWriter& w) const {
   w.Tag("GOV0");
-  w.U8(static_cast<uint8_t>(level_));
+  SaveField(w, level_);
   w.Bool(safe_mode_);
   w.Bool(io_saturated_);
   w.U64(last_total_io_);
@@ -180,7 +180,7 @@ void PressureGovernor::SaveState(SnapshotWriter& w) const {
 
 void PressureGovernor::RestoreState(SnapshotReader& r) {
   r.Tag("GOV0");
-  level_ = static_cast<PressureLevel>(r.U8());
+  LoadField(r, level_);
   safe_mode_ = r.Bool();
   io_saturated_ = r.Bool();
   last_total_io_ = r.U64();

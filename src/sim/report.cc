@@ -10,21 +10,6 @@ namespace odbgc {
 
 namespace {
 
-void WriteStats(JsonWriter& w, const RunningStats& s) {
-  w.BeginObject();
-  w.Key("count");
-  w.Value(static_cast<uint64_t>(s.count()));
-  w.Key("mean");
-  w.Value(s.mean());
-  w.Key("min");
-  w.Value(s.min());
-  w.Key("max");
-  w.Value(s.max());
-  w.Key("stddev");
-  w.Value(s.stddev());
-  w.EndObject();
-}
-
 void WriteSnapshot(JsonWriter& w, const obs::TelemetrySnapshot& snap) {
   w.Key("counters");
   w.BeginObject();
@@ -77,30 +62,27 @@ constexpr StallCause kStallCauses[] = {
     {"stall.fault_retry_io", "fault_retry"},
 };
 
+// The report's optional objects, in emission order.
+struct OptionalObject {
+  SimResult::Section section;
+  const char* key;
+};
+constexpr OptionalObject kOptionalObjects[] = {
+    {SimResult::kFaults, "faults"},
+    {SimResult::kSelfHealing, "self_healing"},
+    {SimResult::kOverload, "overload"},
+    {SimResult::kDisk, "disk"},
+};
+
 }  // namespace
 
 std::string SimResultToJson(const SimResult& result,
                             bool include_collection_log) {
   JsonWriter w;
   w.BeginObject();
+  ReportRows(w, result.clock);
+  ReportRows(w, result, SimResult::kBeforeWindow);
 
-  w.Key("events");
-  w.Value(result.clock.events);
-  w.Key("pointer_overwrites");
-  w.Value(result.clock.pointer_overwrites);
-  w.Key("app_io");
-  w.Value(result.clock.app_io);
-  w.Key("gc_io");
-  w.Value(result.clock.gc_io);
-  w.Key("collections");
-  w.Value(result.collections);
-  w.Key("idle_collections");
-  w.Value(result.idle_collections);
-  w.Key("idle_gc_io");
-  w.Value(result.idle_gc_io);
-
-  w.Key("window_opened");
-  w.Value(result.window_opened);
   // Measurement-window context: a run that never reached the preamble's
   // collection count falls back to whole-run measurements; say so
   // explicitly instead of leaving window_opened=false to be guessed at.
@@ -117,217 +99,25 @@ std::string SimResultToJson(const SimResult& result,
   w.Key("reclaimed_bytes");
   w.Value(result.window_reclaimed_bytes);
   w.EndObject();
-  w.Key("measured_app_io");
-  w.Value(result.measured_app_io);
-  w.Key("measured_gc_io");
-  w.Value(result.measured_gc_io);
-  w.Key("achieved_gc_io_pct");
-  w.Value(result.achieved_gc_io_pct);
-  w.Key("garbage_pct");
-  WriteStats(w, result.garbage_pct);
+  ReportRows(w, result, SimResult::kMain);
 
-  w.Key("total_reclaimed_bytes");
-  w.Value(result.total_reclaimed_bytes);
-  w.Key("total_reclaimed_objects");
-  w.Value(result.total_reclaimed_objects);
-  w.Key("final_db_used_bytes");
-  w.Value(result.final_db_used_bytes);
-  w.Key("final_actual_garbage_bytes");
-  w.Value(result.final_actual_garbage_bytes);
-  w.Key("final_partition_count");
-  w.Value(static_cast<uint64_t>(result.final_partition_count));
-  w.Key("buffer_hits");
-  w.Value(result.buffer_hits);
-  w.Key("buffer_misses");
-  w.Value(result.buffer_misses);
-  w.Key("dt_min_clamps");
-  w.Value(result.dt_min_clamps);
-  w.Key("dt_max_clamps");
-  w.Value(result.dt_max_clamps);
-
-  // Fault-injection / crash-recovery outcomes. Emitted whenever any of
-  // them fired so fault-plan runs are self-describing; omitted for clean
-  // runs to keep their reports lean.
-  if (result.crashes > 0 || result.recoveries > 0 ||
-      result.verifier_runs > 0 || result.io_retries > 0 ||
-      result.io_read_failures > 0 || result.io_write_failures > 0 ||
-      result.torn_writes > 0) {
-    w.Key("faults");
+  // Fault, self-healing, governor and disk-timing outcomes. Each object
+  // is emitted whenever its machinery did anything, so those runs are
+  // self-describing; clean runs omit them to keep their reports lean.
+  for (const OptionalObject& obj : kOptionalObjects) {
+    if (!SectionOn(result, obj.section)) continue;
+    w.Key(obj.key);
     w.BeginObject();
-    w.Key("crashes");
-    w.Value(result.crashes);
-    w.Key("recoveries");
-    w.Value(result.recoveries);
-    w.Key("recovery_rollbacks");
-    w.Value(result.recovery_rollbacks);
-    w.Key("recovery_rollforwards");
-    w.Value(result.recovery_rollforwards);
-    w.Key("recovery_redo_updates");
-    w.Value(result.recovery_redo_updates);
-    w.Key("verifier_runs");
-    w.Value(result.verifier_runs);
-    w.Key("io_retries");
-    w.Value(result.io_retries);
-    w.Key("io_read_failures");
-    w.Value(result.io_read_failures);
-    w.Key("io_write_failures");
-    w.Value(result.io_write_failures);
-    w.Key("torn_writes");
-    w.Value(result.torn_writes);
-    w.Key("torn_repairs");
-    w.Value(result.torn_repairs);
-    w.EndObject();
-  }
-
-  // Self-healing outcomes (checksums, scrub, quarantine, repair).
-  // Emitted whenever the machinery did anything, same contract as
-  // "faults" above.
-  if (result.checksum_failures > 0 || result.device_faults > 0 ||
-      result.bitflips_injected > 0 || result.decays_armed > 0 ||
-      result.pages_scrubbed > 0 || result.partitions_quarantined > 0 ||
-      result.collections_aborted_corrupt > 0) {
-    w.Key("self_healing");
-    w.BeginObject();
-    w.Key("checksum_failures");
-    w.Value(result.checksum_failures);
-    w.Key("bitflips_injected");
-    w.Value(result.bitflips_injected);
-    w.Key("decays_armed");
-    w.Value(result.decays_armed);
-    w.Key("device_faults");
-    w.Value(result.device_faults);
-    w.Key("pages_scrubbed");
-    w.Value(result.pages_scrubbed);
-    w.Key("scrub_detections");
-    w.Value(result.scrub_detections);
-    w.Key("partitions_quarantined");
-    w.Value(result.partitions_quarantined);
-    w.Key("partitions_repaired");
-    w.Value(result.partitions_repaired);
-    w.Key("repair_pages_rewritten");
-    w.Value(result.repair_pages_rewritten);
-    w.Key("collections_aborted_corrupt");
-    w.Value(result.collections_aborted_corrupt);
-    w.Key("quarantine_log");
-    w.BeginArray();
-    for (const QuarantineEvent& q : result.quarantine_log) {
-      w.BeginObject();
-      w.Key("detected_event");
-      w.Value(q.detected_event);
-      w.Key("partition");
-      w.Value(static_cast<uint64_t>(q.partition));
-      w.Key("kind");
-      w.Value(
-          CorruptionKindName(static_cast<CorruptionKind>(q.kind)));
-      w.Key("repaired_event");
-      w.Value(q.repaired_event);
-      w.EndObject();
+    ReportRows(w, result, obj.section);
+    if (obj.section == SimResult::kOverload) {
+      w.Key("peak_utilization_pct");
+      w.Value(static_cast<double>(result.peak_utilization_pct_x100) / 100.0);
     }
-    w.EndArray();
     w.EndObject();
   }
 
-  // Overload governor outcomes. Emitted whenever the governor observed
-  // any pressure or intervened, same contract as "faults" above.
-  if (result.governor_yellow_entries > 0 || result.governor_red_entries > 0 ||
-      result.governor_boost_collections > 0 ||
-      result.governor_emergency_collections > 0 ||
-      result.safe_mode_entries > 0 || result.safe_mode_exits > 0 ||
-      result.peak_utilization_pct_x100 > 0) {
-    w.Key("overload");
-    w.BeginObject();
-    w.Key("governor_yellow_entries");
-    w.Value(result.governor_yellow_entries);
-    w.Key("governor_red_entries");
-    w.Value(result.governor_red_entries);
-    w.Key("governor_boost_collections");
-    w.Value(result.governor_boost_collections);
-    w.Key("governor_emergency_collections");
-    w.Value(result.governor_emergency_collections);
-    w.Key("governor_gc_io");
-    w.Value(result.governor_gc_io);
-    w.Key("safe_mode_entries");
-    w.Value(result.safe_mode_entries);
-    w.Key("safe_mode_exits");
-    w.Value(result.safe_mode_exits);
-    w.Key("peak_utilization_pct");
-    w.Value(static_cast<double>(result.peak_utilization_pct_x100) / 100.0);
-    w.EndObject();
-  }
-
-  if (result.disk_app_ms > 0.0 || result.disk_gc_ms > 0.0) {
-    w.Key("disk");
-    w.BeginObject();
-    w.Key("app_ms");
-    w.Value(result.disk_app_ms);
-    w.Key("gc_ms");
-    w.Value(result.disk_gc_ms);
-    w.Key("sequential_transfers");
-    w.Value(result.disk_sequential_transfers);
-    w.Key("random_transfers");
-    w.Value(result.disk_random_transfers);
-    w.EndObject();
-  }
-
-  w.Key("phases");
-  w.BeginArray();
-  for (const PhaseStats& p : result.phase_stats) {
-    w.BeginObject();
-    w.Key("phase");
-    w.Value(PhaseName(p.phase));
-    w.Key("events");
-    w.Value(p.events);
-    w.Key("app_io");
-    w.Value(p.app_io);
-    w.Key("gc_io");
-    w.Value(p.gc_io);
-    w.Key("pointer_overwrites");
-    w.Value(p.pointer_overwrites);
-    w.Key("collections");
-    w.Value(p.collections);
-    w.Key("bytes_reclaimed");
-    w.Value(p.bytes_reclaimed);
-    w.Key("garbage_pct");
-    WriteStats(w, p.garbage_pct);
-    w.EndObject();
-  }
-  w.EndArray();
-
-  if (include_collection_log) {
-    w.Key("collection_log");
-    w.BeginArray();
-    for (const CollectionRecord& r : result.log) {
-      w.BeginObject();
-      w.Key("index");
-      w.Value(r.index);
-      w.Key("phase");
-      w.Value(PhaseName(r.phase));
-      w.Key("overwrite_time");
-      w.Value(r.overwrite_time);
-      w.Key("app_io");
-      w.Value(r.app_io);
-      w.Key("gc_io_delta");
-      w.Value(r.gc_io_delta);
-      w.Key("partition");
-      w.Value(static_cast<uint64_t>(r.partition));
-      w.Key("bytes_reclaimed");
-      w.Value(r.bytes_reclaimed);
-      w.Key("bytes_live");
-      w.Value(r.bytes_live);
-      w.Key("db_used_bytes");
-      w.Value(r.db_used_bytes);
-      w.Key("actual_garbage_pct");
-      w.Value(r.actual_garbage_pct);
-      w.Key("estimated_garbage_pct");
-      w.Value(r.estimated_garbage_pct);
-      w.Key("target_garbage_pct");
-      w.Value(r.target_garbage_pct);
-      w.Key("next_dt");
-      w.Value(r.next_dt);
-      w.EndObject();
-    }
-    w.EndArray();
-  }
+  ReportRows(w, result, SimResult::kPhases);
+  if (include_collection_log) ReportRows(w, result, SimResult::kLog);
 
   if (!result.telemetry.empty()) {
     w.Key("telemetry");
@@ -500,46 +290,7 @@ std::string DecisionsToJsonl(const SimResult& result) {
   std::string out;
   for (const obs::PolicyDecisionRecord& d : result.decisions) {
     JsonWriter w;
-    w.BeginObject();
-    w.Key("seq");
-    w.Value(d.seq);
-    w.Key("tick");
-    w.Value(d.tick);
-    w.Key("event");
-    w.Value(d.event);
-    w.Key("collection");
-    w.Value(d.collection);
-    w.Key("policy");
-    w.Value(d.policy);
-    w.Key("reason");
-    w.Value(obs::DecisionReasonName(d.reason));
-    w.Key("chosen_interval");
-    w.Value(d.chosen_interval);
-    w.Key("next_threshold");
-    w.Value(d.next_threshold);
-    w.Key("target");
-    w.Value(d.target);
-    w.Key("io_pct");
-    w.Value(d.io_pct);
-    w.Key("garbage_pct");
-    w.Value(d.garbage_pct);
-    w.Key("app_io");
-    w.Value(d.app_io);
-    w.Key("gc_io");
-    w.Value(d.gc_io);
-    w.Key("actual_garbage_bytes");
-    w.Value(d.actual_garbage_bytes);
-    w.Key("estimate_bytes");
-    w.Value(d.estimate_bytes);
-    w.Key("estimator_spread_bytes");
-    w.Value(d.estimator_spread_bytes);
-    w.Key("db_used_bytes");
-    w.Value(d.db_used_bytes);
-    w.Key("collection_gc_io");
-    w.Value(d.collection_gc_io);
-    w.Key("bytes_reclaimed");
-    w.Value(d.bytes_reclaimed);
-    w.EndObject();
+    ReportField(w, d);
     out += w.TakeString();
     out += '\n';
   }

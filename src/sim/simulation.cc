@@ -164,7 +164,7 @@ void Simulation::DrainCorruption() {
     QuarantineEvent q;
     q.detected_event = clock_.events;
     q.partition = p;
-    q.kind = static_cast<uint8_t>(ev.kind);
+    q.kind = ev.kind;
     result_.quarantine_log.push_back(q);
     ODBGC_IF_TEL(tel_.get()) {
       tel_quarantined_->Increment();

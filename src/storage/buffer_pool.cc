@@ -246,20 +246,7 @@ void BufferPool::SaveState(SnapshotWriter& w) const {
     w.U32(frames_[f].page.page_index);
     w.Bool(frames_[f].dirty);
   }
-  w.U64(stats_.app_reads);
-  w.U64(stats_.app_writes);
-  w.U64(stats_.gc_reads);
-  w.U64(stats_.gc_writes);
-  w.U64(stats_.app_retries);
-  w.U64(stats_.gc_retries);
-  w.U64(stats_.read_failures);
-  w.U64(stats_.write_failures);
-  w.U64(stats_.torn_writes);
-  w.U64(stats_.torn_repairs);
-  w.U64(stats_.checksum_failures);
-  w.U64(stats_.bitflips);
-  w.U64(stats_.decays_armed);
-  w.U64(stats_.device_faults);
+  SaveField(w, stats_);
   w.U64(hits_);
   w.U64(misses_);
   // Undrained detections (normally empty: the simulation drains the
@@ -268,7 +255,7 @@ void BufferPool::SaveState(SnapshotWriter& w) const {
   for (const CorruptionEvent& e : pending_corruption_) {
     w.U32(e.page.partition);
     w.U32(e.page.page_index);
-    w.U8(static_cast<uint8_t>(e.kind));
+    SaveField(w, e.kind);
   }
 }
 
@@ -280,7 +267,11 @@ void BufferPool::RestoreState(SnapshotReader& r) {
   std::fill(table_.begin(), table_.end(), kNoFrame);
   pinned_pages_ = 0;
   const uint64_t n = r.U64();
-  if (!r.ok() || n > frame_count_) return;
+  if (!r.ok()) return;
+  if (n > frame_count_) {
+    r.MarkMalformed("buffer pool resident count exceeds its frames");
+    return;
+  }
   std::vector<Frame> saved(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
     saved[i].page = PageId{r.U32(), r.U32()};
@@ -297,20 +288,7 @@ void BufferPool::RestoreState(SnapshotReader& r) {
     SetSlot(saved[i].page, fresh);
     ++resident_;
   }
-  stats_.app_reads = r.U64();
-  stats_.app_writes = r.U64();
-  stats_.gc_reads = r.U64();
-  stats_.gc_writes = r.U64();
-  stats_.app_retries = r.U64();
-  stats_.gc_retries = r.U64();
-  stats_.read_failures = r.U64();
-  stats_.write_failures = r.U64();
-  stats_.torn_writes = r.U64();
-  stats_.torn_repairs = r.U64();
-  stats_.checksum_failures = r.U64();
-  stats_.bitflips = r.U64();
-  stats_.decays_armed = r.U64();
-  stats_.device_faults = r.U64();
+  LoadField(r, stats_);
   hits_ = r.U64();
   misses_ = r.U64();
   pending_corruption_.clear();
@@ -318,7 +296,7 @@ void BufferPool::RestoreState(SnapshotReader& r) {
   for (uint64_t i = 0; i < pending && r.ok(); ++i) {
     CorruptionEvent e;
     e.page = PageId{r.U32(), r.U32()};
-    e.kind = static_cast<CorruptionKind>(r.U8());
+    LoadField(r, e.kind);
     pending_corruption_.push_back(e);
   }
 }

@@ -13,18 +13,8 @@
 
 namespace odbgc {
 
-// How a page was found to be damaged. The pool surfaces detections as
-// typed events (below) that the simulation drains at event boundaries to
-// make quarantine decisions.
-enum class CorruptionKind : uint8_t {
-  kChecksum = 0,     // read returned an image failing its page CRC
-  kDeviceFault = 1,  // transfer lost to a permanently dead page/device
-  kScrub = 2,        // checksum mismatch found by a scrub read
-};
-
-const char* CorruptionKindName(CorruptionKind kind);
-
-// One detected-damage event, in detection order.
+// One detected-damage event (CorruptionKind is in storage/types.h), in
+// detection order.
 struct CorruptionEvent {
   PageId page{0, 0};
   CorruptionKind kind = CorruptionKind::kChecksum;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "storage/buffer_pool.h"
+#include "util/snapshot.h"
 
 namespace odbgc {
 namespace {
@@ -215,6 +216,43 @@ TEST(BufferPoolTest, WriteThroughBypassesFrames) {
   EXPECT_EQ(pool.stats().gc_reads, 1u);
   EXPECT_EQ(pool.resident_pages(), 0u);  // never occupies a frame
   EXPECT_EQ(pool.hits() + pool.misses(), 0u);
+}
+
+// Hand-built pool snapshots. The layout is the resident count and pages
+// (MRU first), the IoStats rows, hits, misses, then the undrained
+// corruption events.
+TEST(BufferPoolTest, RestoreRejectsMoreResidentPagesThanFrames) {
+  SnapshotWriter w;
+  w.U64(5);
+  for (uint32_t i = 0; i < 5; ++i) {
+    w.U32(0);
+    w.U32(i);
+    w.Bool(false);
+  }
+  BufferPool pool(4);
+  SnapshotReader r(w.data());
+  pool.RestoreState(r);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(BufferPoolTest, RestoreRejectsUnknownCorruptionKind) {
+  auto restore_with_kind = [](uint8_t kind) {
+    SnapshotWriter w;
+    w.U64(0);  // no resident pages
+    SaveField(w, IoStats{});
+    w.U64(0);  // hits
+    w.U64(0);  // misses
+    w.U64(1);  // one undrained detection: partition, page, kind
+    w.U32(0);
+    w.U32(0);
+    w.U8(kind);
+    BufferPool pool(4);
+    SnapshotReader r(w.data());
+    pool.RestoreState(r);
+    return r.AtEnd();
+  };
+  EXPECT_TRUE(restore_with_kind(static_cast<uint8_t>(CorruptionKind::kScrub)));
+  EXPECT_FALSE(restore_with_kind(3));
 }
 
 }  // namespace

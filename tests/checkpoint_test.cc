@@ -136,6 +136,21 @@ TEST(SnapshotTest, ReaderLatchesOnBadTagAndShortInput) {
   EXPECT_FALSE(short_r.ok());
 }
 
+TEST(SnapshotTest, ResultRestoreRejectsUnknownQuarantineKind) {
+  SimResult saved;
+  QuarantineEvent q;
+  q.partition = 3;
+  q.kind = static_cast<CorruptionKind>(7);  // past kScrub
+  saved.quarantine_log.push_back(q);
+  SnapshotWriter w;
+  SaveField(w, saved);
+
+  SimResult restored;
+  SnapshotReader r(w.data());
+  LoadField(r, restored);
+  EXPECT_FALSE(r.ok());
+}
+
 TEST(SnapshotTest, Crc32MatchesKnownVector) {
   // The classic IEEE CRC-32 check value.
   const char* s = "123456789";
@@ -404,6 +419,15 @@ TEST_F(CorruptCheckpointTest, StaleVersionWithValidCrcs) {
   // can reject it.
   std::string bad = good_;
   PatchU32(&bad, 8, kCheckpointVersion + 1);
+  PatchU32(&bad, 44, Crc32(bad.data(), 44));
+  ExpectLoadError(bad, CheckpointError::kBadVersion);
+}
+
+TEST_F(CorruptCheckpointTest, PreviousFormatVersionWithValidCrcs) {
+  // v5 laid the result block out in a different field order; such a file
+  // is rejected by version, never parsed.
+  std::string bad = good_;
+  PatchU32(&bad, 8, 5);
   PatchU32(&bad, 44, Crc32(bad.data(), 44));
   ExpectLoadError(bad, CheckpointError::kBadVersion);
 }

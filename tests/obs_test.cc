@@ -405,6 +405,18 @@ TEST(DecisionLedgerTest, SaveRestoreRoundTripsRecordsExactly) {
   }
 }
 
+TEST(DecisionLedgerTest, RestoreRejectsUnknownReasonByte) {
+  DecisionLedger ledger(4);
+  ledger.Append("saga", static_cast<DecisionReason>(200), 1.0, 2, 3.0);
+  SnapshotWriter w;
+  ledger.SaveState(w);
+
+  DecisionLedger restored(4);
+  SnapshotReader r(w.data());
+  restored.RestoreState(r);
+  EXPECT_FALSE(r.ok());
+}
+
 TEST(DecisionLedgerTest, ReasonNamesAreStableWireStrings) {
   EXPECT_STREQ(DecisionReasonName(DecisionReason::kBudgetSolve),
                "budget_solve");
