@@ -134,7 +134,7 @@ void MultiTenantEngine::EnqueuePinDelta(uint32_t shard, uint32_t id,
 void MultiTenantEngine::ApplyExchange() {
   for (size_t s = 0; s < sims_.size(); ++s) {
     if (exchange_[s].empty()) continue;
-    ++exchange_batches_;
+    ++report_.exchange_batches;
     ObjectStore& store = sims_[s]->store();
     for (const PinDelta& d : exchange_[s]) {
       if (d.delta > 0) {
@@ -160,7 +160,7 @@ void MultiTenantEngine::RouteEvent(TraceEvent e, uint32_t client) {
       // refcount (delivered at the next epoch start; the target stays
       // alive meanwhile under the engine's directory pin).
       EnqueuePinDelta(it->second.first, it->second.second, -1);
-      ++pins_revoked_;
+      ++report_.pins_revoked;
       remote_refs_.erase(it);
     }
     // Only null-target writes are redirected: the local apply then
@@ -182,8 +182,8 @@ void MultiTenantEngine::RouteEvent(TraceEvent e, uint32_t client) {
         // engine's remembered set, backed by a +1 pin on the target.
         remote_refs_[key] = {target_shard, target_id};
         EnqueuePinDelta(target_shard, target_id, +1);
-        ++pins_granted_;
-        ++xshard_writes_;
+        ++report_.pins_granted;
+        ++report_.xshard_writes;
       }
     }
   }
@@ -196,7 +196,7 @@ void MultiTenantEngine::Reconcile() {
     const uint32_t src_id = std::get<1>(it->first);
     if (!sims_[src_shard]->store().Exists(src_id)) {
       EnqueuePinDelta(it->second.first, it->second.second, -1);
-      ++pins_reconciled_;
+      ++report_.pins_reconciled;
       it = remote_refs_.erase(it);
     } else {
       ++it;
@@ -226,8 +226,8 @@ void MultiTenantEngine::EndEpoch() {
       const uint64_t delay =
           excess / (2 * n) + rng_.NextBelow(cost[s] / 16 + 1);
       cost[s] += delay;
-      contention_delay_ += delay;
-      ++contention_events_;
+      report_.contention_delay_units += delay;
+      ++report_.contention_events;
     }
   }
   // Modeled lane schedule: LPT-pack the shard costs onto L lanes for
@@ -250,7 +250,7 @@ void MultiTenantEngine::EndEpoch() {
       }
       load[best] += cost[s];
     }
-    modeled_units_[li] +=
+    report_.modeled_units[li] +=
         static_cast<double>(*std::max_element(load.begin(), load.end()));
   }
   Reconcile();
@@ -277,7 +277,7 @@ double MultiTenantEngine::BreakerClamp(size_t s, double budget) {
     if (unhealthy) {
       breaker_open_[s] = 1;
       breaker_clean_[s] = 0;
-      ++breaker_opens_;
+      ++report_.breaker_opens;
       LedgerShardEvent(s, "breaker", obs::DecisionReason::kBreakerOpen,
                        options_.min_shard_frac);
     }
@@ -286,7 +286,7 @@ double MultiTenantEngine::BreakerClamp(size_t s, double budget) {
   } else if (++breaker_clean_[s] >= options_.breaker_close_ticks) {
     breaker_open_[s] = 0;
     breaker_clean_[s] = 0;
-    ++breaker_closes_;
+    ++report_.breaker_closes;
     LedgerShardEvent(s, "breaker", obs::DecisionReason::kBreakerClose,
                      budget);
   }
@@ -373,9 +373,9 @@ void MultiTenantEngine::CoordinatorTick() {
                          : obs::DecisionReason::kBudgetRevoke,
                    budget - old, s, 100.0 * budget);
     if (grant) {
-      ++budget_grants_;
+      ++report_.budget_grants;
     } else {
-      ++budget_revokes_;
+      ++report_.budget_revokes;
     }
   }
 }
@@ -441,26 +441,12 @@ MultiTenantReport MultiTenantEngine::Run() {
 }
 
 MultiTenantReport MultiTenantEngine::BuildReport() {
-  MultiTenantReport r;
+  MultiTenantReport r = std::move(report_);
   r.clients = mux_.clients();
   r.events = mux_.events_drawn();
   r.epochs = epochs_;
-  r.xshard_writes = xshard_writes_;
-  r.pins_granted = pins_granted_;
-  r.pins_revoked = pins_revoked_;
-  r.pins_reconciled = pins_reconciled_;
-  r.exchange_batches = exchange_batches_;
-  r.budget_grants = budget_grants_;
-  r.budget_revokes = budget_revokes_;
   r.admission_deferrals = mux_.admission_deferrals();
-  r.breaker_opens = breaker_opens_;
-  r.breaker_closes = breaker_closes_;
   r.coordinator_decisions = ledger_.Records();
-  r.contention_events = contention_events_;
-  r.contention_delay_units = contention_delay_;
-  for (size_t li = 0; li < MultiTenantReport::kLaneCounts; ++li) {
-    r.modeled_units[li] = modeled_units_[li];
-  }
   obs::Histogram merged;
   bool any_tel = false;
   r.shards.reserve(sims_.size());

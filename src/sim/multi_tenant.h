@@ -246,19 +246,8 @@ class MultiTenantEngine {
   std::vector<uint32_t> breaker_clean_;     // consecutive healthy ticks
   std::vector<uint64_t> defer_ledger_epoch_;  // last epoch ledgered, 1-based
 
-  // Counters mirrored into the report.
-  uint64_t xshard_writes_ = 0;
-  uint64_t pins_granted_ = 0;
-  uint64_t pins_revoked_ = 0;
-  uint64_t pins_reconciled_ = 0;
-  uint64_t exchange_batches_ = 0;
-  uint64_t budget_grants_ = 0;
-  uint64_t budget_revokes_ = 0;
-  uint64_t breaker_opens_ = 0;
-  uint64_t breaker_closes_ = 0;
-  uint64_t contention_events_ = 0;
-  uint64_t contention_delay_ = 0;
-  double modeled_units_[MultiTenantReport::kLaneCounts] = {0, 0, 0, 0};
+  // The fleet totals, counted in place; BuildReport fills in the rest.
+  MultiTenantReport report_;
 
   bool finished_ = false;
 };
