@@ -1,24 +1,27 @@
 #!/usr/bin/env bash
-# Builds the storage / collector stack under AddressSanitizer and runs
-# the tests that exercise the fault injector, crash recovery, and the
-# heap verifier (plus the corrupt-trace loader corpora, which is where a
-# reader bug would touch memory it should not).
+# Builds the storage / collector stack under AddressSanitizer plus
+# UndefinedBehaviorSanitizer (ODBGC_SANITIZE=address turns on both, and
+# any UBSan report is fatal) and runs the tests that exercise the fault
+# injector, crash recovery, and the heap verifier (plus the corrupt-trace
+# loader corpora, which is where a reader bug would touch memory it
+# should not), the checkpoint codecs, the report encoder and the
+# overload governor.
 # Usage: tools/check_asan.sh [build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
+TESTS=(fault_injection_test self_healing_test recovery_test buffer_pool_test
+       fuzz_test storage_test collector_test checkpoint_test
+       stream_determinism_test golden_output_test overload_test)
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DODBGC_SANITIZE=address
-cmake --build "$BUILD_DIR" --target \
-  fault_injection_test self_healing_test recovery_test buffer_pool_test \
-  fuzz_test storage_test collector_test -j "$(nproc)"
+cmake --build "$BUILD_DIR" --target "${TESTS[@]}" -j "$(nproc)"
 
-for t in fault_injection_test self_healing_test recovery_test \
-         buffer_pool_test fuzz_test storage_test collector_test; do
-  echo "== ${t} under address sanitizer =="
+for t in "${TESTS[@]}"; do
+  echo "== ${t} under address + undefined-behavior sanitizers =="
   "$BUILD_DIR/tests/$t"
 done
-echo "OK: no address sanitizer reports"
+echo "OK: no address or undefined-behavior sanitizer reports"
