@@ -16,7 +16,7 @@
 # A second leg soaks the overload governor: capacity-capped governed
 # uniform-churn runs under the same silent-corruption plan, with the
 # ungoverned twin required to exit 6 and a subset of governed seeds
-# killed mid-degradation and resumed to byte-identity (checkpoint v5
+# killed mid-degradation and resumed to byte-identity (the checkpoint
 # carries the governor and safe-mode state).
 #
 # Usage: tools/check_soak.sh [build-dir]
