@@ -181,6 +181,36 @@ TEST(ClientMuxTest, StreamingChurnReplayMatchesGroundTruth) {
   EXPECT_EQ(scan.unreachable_bytes, store.actual_garbage_bytes());
 }
 
+// Pins the generator's exact stream across commits: an FNV-1a digest of
+// every field of every event, so a change to how the source buffers a
+// cycle cannot reorder, drop or alter an event unnoticed.
+TEST(ClientMuxTest, StreamingChurnStreamIsPinned) {
+  StreamingChurnOptions o;
+  o.seed = 11;
+  o.cycles = 800;
+  o.read_factor = 2;
+  StreamingChurnSource source(o);
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  uint64_t events = 0;
+  TraceEvent e;
+  while (source.Next(&e)) {
+    mix(static_cast<uint32_t>(e.kind));
+    mix(e.a);
+    mix(e.b);
+    mix(e.c);
+    mix(e.d);
+    ++events;
+  }
+  EXPECT_EQ(events, 37138u);
+  EXPECT_EQ(h, 17944622878157404152ull);
+}
+
 TEST(ClientMuxTest, TenThousandClientsStreamInClientBoundedMemory) {
   // 10,000 generator-backed clients whose *total* event volume would be
   // far larger than their resident state. The mux + sources must cost

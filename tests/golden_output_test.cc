@@ -12,19 +12,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "oo7/generator.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
 #include "storage/buffer_pool.h"
-
-#ifndef ODBGC_GOLDEN_DIR
-#error "ODBGC_GOLDEN_DIR must be defined by the build"
-#endif
+#include "tests/golden_util.h"
 
 namespace odbgc {
 namespace {
@@ -35,39 +29,6 @@ std::string StripBuildInfo(const std::string& json) {
   size_t pos = json.rfind(",\"build_info\":");
   if (pos == std::string::npos) return json;
   return json.substr(0, pos) + "}";
-}
-
-std::string GoldenPath(const std::string& name) {
-  return std::string(ODBGC_GOLDEN_DIR) + "/" + name;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-void CheckAgainstGolden(const std::string& name, const std::string& json) {
-  const std::string path = GoldenPath(name);
-  if (std::getenv("ODBGC_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << json << "\n";
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::string golden;
-  ASSERT_TRUE(ReadFile(path, &golden))
-      << "missing golden file " << path
-      << " (run with ODBGC_UPDATE_GOLDEN=1 to create it)";
-  // The committed file ends with a trailing newline.
-  ASSERT_FALSE(golden.empty());
-  if (golden.back() == '\n') golden.pop_back();
-  EXPECT_EQ(json, golden)
-      << "simulation output diverged from the committed golden result; "
-         "the core data structures are no longer byte-identical";
 }
 
 // Small' is the paper's configuration: big enough that SAIO and SAGA
