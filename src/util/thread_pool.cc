@@ -78,8 +78,8 @@ void ThreadPool::WorkerLoop(int worker_index) {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
+void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
+                             const std::function<void()>& overlap) {
   // One exception slot per index: written by at most one task, read only
   // after Wait(), so no synchronization beyond the pool's is needed.
   std::vector<std::exception_ptr> errors(n);
@@ -92,10 +92,21 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       }
     });
   }
+  // The tasks reference this frame, so nothing may unwind it before
+  // Wait() returns.
+  std::exception_ptr overlap_error;
+  if (overlap) {
+    try {
+      overlap();
+    } catch (...) {
+      overlap_error = std::current_exception();
+    }
+  }
   Wait();
   for (size_t i = 0; i < n; ++i) {
     if (errors[i]) std::rethrow_exception(errors[i]);
   }
+  if (overlap_error) std::rethrow_exception(overlap_error);
 }
 
 }  // namespace odbgc

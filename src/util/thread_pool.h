@@ -40,7 +40,13 @@ class ThreadPool {
   // finished. Indices are claimed in order, so with 1 thread this is
   // exactly the serial loop. If invocations throw, the exception from
   // the lowest index is rethrown after the whole batch has drained.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+  //
+  // A non-null `overlap` runs on the calling thread while the batch
+  // does. The batch drains before ParallelFor returns or throws, even
+  // when `overlap` throws; an exception from fn still wins, and one from
+  // `overlap` is rethrown only when every fn(i) succeeded.
+  void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
+                   const std::function<void()>& overlap = nullptr);
 
   // Index of the pool worker running the current thread (0-based), or -1
   // when called from a thread that is not a pool worker (e.g. the

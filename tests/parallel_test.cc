@@ -105,6 +105,41 @@ TEST(ThreadPoolTest, ParallelForRethrowsLowestIndexAndStaysUsable) {
   EXPECT_EQ(again.load(), 5);
 }
 
+TEST(ThreadPoolTest, ParallelForOverlapJoinsTheBatchBeforeRethrowing) {
+  ThreadPool pool(2);
+  std::atomic<int> completed{0};
+  int overlap_worker = 0;
+  // The overlap runs on the calling thread; its exception surfaces only
+  // after the whole batch has finished.
+  EXPECT_THROW(pool.ParallelFor(
+                   6, [&](size_t) { ++completed; },
+                   [&] {
+                     overlap_worker = ThreadPool::current_worker_index();
+                     throw std::logic_error("overlap");
+                   }),
+               std::logic_error);
+  EXPECT_EQ(overlap_worker, -1);
+  EXPECT_EQ(completed.load(), 6);
+
+  // A task's exception wins over the overlap's.
+  try {
+    pool.ParallelFor(
+        4,
+        [](size_t i) {
+          if (i == 1) throw std::runtime_error("task 1");
+        },
+        [] { throw std::logic_error("overlap"); });
+    FAIL() << "expected ParallelFor to rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 1");
+  }
+
+  // An empty batch still runs the overlap.
+  bool ran = false;
+  pool.ParallelFor(0, [](size_t) {}, [&] { ran = true; });
+  EXPECT_TRUE(ran);
+}
+
 TEST(ThreadPoolTest, SubmitAndWaitRunsEverything) {
   ThreadPool pool(2);
   std::atomic<int> sum{0};
