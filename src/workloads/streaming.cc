@@ -17,12 +17,13 @@ StreamingChurnSource::StreamingChurnSource(
 }
 
 bool StreamingChurnSource::Next(TraceEvent* out) {
-  while (pending_.empty()) {
+  while (head_ == pending_.size()) {
     if (cycle_ >= options_.cycles) return false;
+    pending_.clear();
+    head_ = 0;
     GenerateCycle();
   }
-  *out = pending_.front();
-  pending_.pop_front();
+  *out = pending_[head_++];
   return true;
 }
 
@@ -31,7 +32,7 @@ size_t StreamingChurnSource::ApproxMemoryBytes() const {
   for (const std::deque<uint32_t>& l : lists_) {
     bytes += l.size() * sizeof(uint32_t);
   }
-  bytes += pending_.size() * sizeof(TraceEvent);
+  bytes += (pending_.size() - head_) * sizeof(TraceEvent);  // unread only
   return bytes;
 }
 

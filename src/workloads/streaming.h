@@ -63,7 +63,10 @@ class StreamingChurnSource : public EventSource {
   uint32_t next_id_ = 1;
   uint32_t root_ = 0;
   std::vector<std::deque<uint32_t>> lists_;
-  std::deque<TraceEvent> pending_;
+  // The current cycle's events; Next() reads them at head_ and the next
+  // cycle reuses the buffer once all are read.
+  std::vector<TraceEvent> pending_;
+  size_t head_ = 0;
 };
 
 }  // namespace odbgc
