@@ -91,6 +91,9 @@ class ClientMux {
   // or a universally-deferred fleet spins forever.
   using AdmissionGate = std::function<bool(uint32_t client)>;
   void SetAdmissionGate(AdmissionGate gate, uint32_t defer_limit);
+  // True while a gate is installed: only then can the stream depend on
+  // state outside the mux.
+  bool has_admission_gate() const { return static_cast<bool>(gate_); }
   // Total turns deferred by the gate since construction.
   uint64_t admission_deferrals() const { return admission_deferrals_; }
 

@@ -115,21 +115,10 @@ struct MultiTenantReport {
   uint64_t breaker_opens = 0;
   uint64_t breaker_closes = 0;
 
-  // Contention model: seeded latch-queueing delay charged to shards
+  // Contention model: seeded latch-queueing delay counted for shards
   // drawing more than twice the fair share of an epoch's cost.
   uint64_t contention_events = 0;
   uint64_t contention_delay_units = 0;
-
-  // Deterministic modeled scale-out (see EXPERIMENTS.md): per-epoch
-  // shard costs are LPT-packed onto L lanes for each fixed L below and
-  // the makespans accumulated. modeled_units[i] is the fleet's modeled
-  // apply time on kLanes[i] lanes — computed identically at any actual
-  // --threads, so the scaling story is host- and thread-independent.
-  static constexpr size_t kLaneCounts = 4;
-  static constexpr uint32_t kLanes[kLaneCounts] = {1, 2, 4, 8};
-  double modeled_units[kLaneCounts] = {0.0, 0.0, 0.0, 0.0};
-  // Serial-units / L-lane-units; 0 when the run was empty.
-  double ModeledSpeedup(size_t lane_index) const;
 
   // Fleet-wide app-visible GC stall distribution: every shard's
   // stall.gc_copy_io histogram merged (empty id when telemetry was off).
@@ -152,15 +141,27 @@ struct MultiTenantReport {
 // shard's private id space at routing time, so each shard's store sees
 // a dense id range it alone owns.
 //
-// Epoch loop (Run): serially apply the previous epoch's exchanged pin
-// deltas shard-by-shard, serially drain up to epoch_events from the mux
-// (routing each event to its shard and intercepting cross-shard
-// writes), apply every shard's batch in parallel (disjoint state), then
-// serially close the epoch: charge contention, accumulate the modeled
-// lane schedule, reconcile dead remote sources, and run the budget
-// coordinator. All randomness and all cross-shard decisions live in the
-// serial sections, so the report is a pure function of (options,
-// clients) at any thread count.
+// Epoch loop (Run), pipelined: the calling thread serially delivers the
+// previous epoch's exchanged pin deltas shard by shard, routes the
+// epoch's up to epoch_events drained (event, client) pairs to their
+// shards (intercepting cross-shard writes), and hands the shard batches
+// to the pool. While the pool applies them, the calling thread drains
+// the next epoch's raw pairs from the mux. After the join it closes the
+// epoch serially: contention, reconciliation of dead remote sources,
+// and the budget coordinator.
+//
+// Determinism: every rng_ draw, remembered-set lookup and pin delta
+// happens in the serial route and barrier, in the same order as a
+// strictly alternating loop, so the report is a pure function of
+// (options, clients) at any thread count. Draining ahead is sound
+// because without an admission gate the mux stream depends only on
+// registration order and options, never on shard state. With a gate
+// (backpressure, or any gate installed on mux()) the drain falls back
+// to the serial position after the barrier, so the gate reads the
+// pressure the barrier committed. Ledger records carry the number of
+// events routed so far, not the mux's position, which runs an epoch
+// ahead. An exception from a shard (lowest shard first) or from the
+// drain propagates only after every apply task has finished.
 class MultiTenantEngine {
  public:
   explicit MultiTenantEngine(const MultiTenantOptions& options);
@@ -197,6 +198,9 @@ class MultiTenantEngine {
   };
 
   void CreateCatalog();
+  // Pulls up to epoch_events raw (event, client) pairs from the mux into
+  // drained_.
+  void DrainEpoch();
   // Applies (and clears) every shard's pending pin-delta buffer, in
   // shard order.
   void ApplyExchange();
@@ -206,14 +210,17 @@ class MultiTenantEngine {
   void EnqueuePinDelta(uint32_t shard, uint32_t id, int32_t delta);
   // Drops remembered-set entries whose source object died this epoch.
   void Reconcile();
-  // Contention + modeled lanes + reconciliation + coordinator.
+  // Contention + reconciliation + coordinator.
   void EndEpoch();
   void CoordinatorTick();
   // Circuit-breaker state machine for shard `s`; returns the budget the
   // coordinator may grant (min_shard_frac while the breaker is open).
   double BreakerClamp(size_t s, double budget);
+  // Stages shard s's clock and store figures as the ledger context of the
+  // next record; `event` is the fleet stream position of the decision.
+  void StageShardContext(size_t s, uint64_t event);
   // Stages shard context and appends a breaker/admission ledger record.
-  void LedgerShardEvent(size_t s, const char* who,
+  void LedgerShardEvent(size_t s, uint64_t event, const char* who,
                         obs::DecisionReason reason, double target_frac);
   MultiTenantReport BuildReport();
 
@@ -230,7 +237,11 @@ class MultiTenantEngine {
   // Per-shard local id allocation cursor (catalog ids come first).
   std::vector<uint32_t> shard_next_offset_;
 
-  // Epoch state.
+  // Epoch state. drained_ holds the next epoch's raw mux output, filled
+  // while the current epoch applies; events_routed_ counts the events
+  // already routed to shards.
+  std::vector<std::pair<TraceEvent, uint32_t>> drained_;
+  uint64_t events_routed_ = 0;
   std::vector<std::vector<TraceEvent>> epoch_batch_;
   std::vector<std::vector<PinDelta>> exchange_;
   std::vector<uint64_t> prev_io_;
