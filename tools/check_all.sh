@@ -123,15 +123,17 @@ print("bench smoke: %d section checksums identical at gc-threads 1 and 4"
 EOF
 
 # Multi-tenant smoke: the sharded engine's 100-client cell must produce
-# byte-identical fleet checksums at two apply-lane counts run in
+# byte-identical fleet checksums at two apply thread counts run in
 # separate processes (the in-binary --check-threads re-run is skipped —
-# this cross-process compare subsumes it).
+# this cross-process compare subsumes it), and that checksum must equal
+# the one committed in BENCH_multi_tenant.json, so a change that moves
+# every thread count the same way fails too.
 mt_bench="$PWD/build-check/bench/ext_multi_tenant"
 (cd "$bench_dir" && "$mt_bench" --clients=100 --threads=1 \
     --check-threads=0 --trace-cache-mb=1 --json-out=mt1.json > /dev/null)
 (cd "$bench_dir" && "$mt_bench" --clients=100 --threads=3 \
     --check-threads=0 --trace-cache-mb=1 --json-out=mt3.json > /dev/null)
-python3 - "$bench_dir" <<'EOF'
+python3 - "$bench_dir" BENCH_multi_tenant.json <<'EOF'
 import json, sys
 d = sys.argv[1]
 t1 = json.load(open(d + "/mt1.json"))
@@ -142,8 +144,13 @@ assert c1 == c3, "fleet checksums diverged across --threads: %r vs %r" % (
     c1, c3)
 s1 = t1["sections"][0]
 assert s1["clients"] == 100 and s1["ops"] > 0, s1
+committed = {s["name"]: s["checksum_after"]
+             for s in json.load(open(sys.argv[2]))["sections"]}
+assert s1["checksum"] == committed[s1["name"]], (
+    "100-client fleet checksum %d != %d committed in %s"
+    % (s1["checksum"], committed[s1["name"]], sys.argv[2]))
 print("multi-tenant smoke: 100-client fleet checksum identical at "
-      "threads 1 and 3 (%d events)" % s1["ops"])
+      "threads 1 and 3 and equal to %s (%d events)" % (sys.argv[2], s1["ops"]))
 EOF
 
 # Self-healing smoke: one OO7 Small' run under the full silent

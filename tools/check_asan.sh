@@ -4,8 +4,9 @@
 # any UBSan report is fatal) and runs the tests that exercise the fault
 # injector, crash recovery, and the heap verifier (plus the corrupt-trace
 # loader corpora, which is where a reader bug would touch memory it
-# should not), the checkpoint codecs, the report encoder and the
-# overload governor.
+# should not), the checkpoint codecs, the report encoder, the overload
+# governor, and the fleet engine, whose pool tasks must never outlive
+# the frame that started them, even when Run() unwinds.
 # Usage: tools/check_asan.sh [build-dir]
 set -euo pipefail
 
@@ -13,7 +14,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 TESTS=(fault_injection_test self_healing_test recovery_test buffer_pool_test
        fuzz_test storage_test collector_test checkpoint_test
-       stream_determinism_test golden_output_test overload_test)
+       stream_determinism_test golden_output_test overload_test
+       multi_tenant_test client_mux_test)
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
