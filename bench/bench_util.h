@@ -24,20 +24,15 @@ namespace odbgc::bench {
 //   --threads=N       worker threads for the sweep runner (default: one
 //                     per hardware core). Results are byte-identical for
 //                     every thread count.
-//   --gc-threads=N    planning threads for the intra-run parallel
-//                     collector (CollectBatch). Collection reports and
-//                     checksums are byte-identical for every value.
 struct BenchArgs {
   int runs = 10;
   uint32_t connectivity = 3;
   uint64_t base_seed = 1;
-  int threads = 0;     // 0 => hardware_concurrency (see sim/parallel.h)
-  int gc_threads = 1;  // intra-run collection planning threads
+  int threads = 0;  // 0 => hardware_concurrency (see sim/parallel.h)
 
   static constexpr const char* kUsage =
       "supported: --runs=N (1..100000) --connectivity=N (1..64) "
-      "--seed=N --threads=N (1..1024; default: one per hardware core) "
-      "--gc-threads=N (1..1024)";
+      "--seed=N --threads=N (1..1024; default: one per hardware core)";
 
   // Strict integer parsing: the whole token must be a base-10 integer
   // inside [min, max]. atoi-style silent garbage ("--runs=ten" -> 0,
@@ -75,9 +70,6 @@ struct BenchArgs {
       } else if (std::strncmp(a, "--threads=", 10) == 0) {
         args.threads =
             static_cast<int>(ParseIntOrDie("--threads", a + 10, 1, 1024));
-      } else if (std::strncmp(a, "--gc-threads=", 13) == 0) {
-        args.gc_threads = static_cast<int>(
-            ParseIntOrDie("--gc-threads", a + 13, 1, 1024));
       } else {
         std::fprintf(stderr, "unknown argument '%s' (%s)\n", a, kUsage);
         std::exit(2);

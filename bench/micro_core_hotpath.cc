@@ -12,15 +12,14 @@
 //    OO7 Small' database. Partition-root discovery scans every in_refs
 //    list in the seed structures; the cross-partition in-ref counters
 //    make it O(objects in partition). Marking pays a fresh
-//    unordered_set+deque per collection in the seed, an epoch stamp and
-//    a flat worklist after.
+//    unordered_set+deque per collection in the seed; after, it is one
+//    word-packed bitmap with copy_order as the Cheney worklist, and the
+//    collector's plan-epoch cache skips marking altogether for a
+//    partition whose planning inputs did not change since its last
+//    collection (most of the rounds after the second).
 //  * mark_bitmap_scan — repeated whole-database reachability scans over
 //    the word-packed mark bitmap (memset reset, TestAndSet marking,
 //    ctz-driven clear-bit iteration, popcount survivor accounting).
-//  * parallel_collection — the collection_sweep schedule driven through
-//    CollectBatch with a --gc-threads planning pool; its checksum is
-//    asserted equal to collection_sweep's (byte-identical batch
-//    semantics at any thread count).
 //  * alloc_growth — database growth with a cold clustering hint:
 //    every allocation that misses the current allocation partition
 //    first-fit-scans all P partitions in the seed; the free-space index
@@ -33,7 +32,8 @@
 // run of this same binary. The workload is deterministic, so the two
 // builds must also agree on every simulation-visible count — the bench
 // prints and embeds checksums (io totals, overwrite counts, reclaimed
-// bytes) to make silent divergence visible.
+// bytes) to make silent divergence visible; tools/check_all.sh fails
+// unless every section's checksum equals its `checksum_after` there.
 
 #include <chrono>
 #include <cstdint>
@@ -52,7 +52,6 @@
 #include "util/json.h"
 #include "util/random.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -217,52 +216,6 @@ Section MarkBitmapScan(uint64_t seed, uint32_t connectivity) {
   return out;
 }
 
-// The intra-run parallel collector: the same store and collection
-// schedule as collection_sweep, but driven through CollectBatch with a
-// planning pool. The checksum is computed over the identical aggregate —
-// byte-identical batch semantics mean it must equal collection_sweep's
-// checksum at EVERY --gc-threads value; the run aborts if it does not.
-Section ParallelCollection(uint64_t seed, uint32_t connectivity,
-                           int gc_threads, uint64_t serial_checksum) {
-  odbgc::Oo7Params params =
-      odbgc::bench::SmallPrimeWithConnectivity(connectivity);
-  Oo7Generator gen(params, seed);
-  Trace trace = gen.GenerateFullApplication();
-  StoreConfig cfg;
-  ObjectStore store(cfg);
-  Replay(trace, &store);
-
-  Collector collector;
-  odbgc::ThreadPool pool(gc_threads);
-  std::vector<PartitionId> all;
-  for (PartitionId p = 0; p < store.partition_count(); ++p) {
-    all.push_back(p);
-  }
-  constexpr int kRounds = 40;
-  uint64_t reclaimed = 0;
-  Clock::time_point t0 = Clock::now();
-  for (int round = 0; round < kRounds; ++round) {
-    for (const odbgc::CollectionReport& r :
-         collector.CollectBatch(store, all, &pool)) {
-      reclaimed += r.bytes_reclaimed;
-    }
-  }
-  Section out;
-  out.name = "parallel_collection";
-  out.ops = collector.collections_performed();
-  out.ms = ElapsedMs(t0);
-  out.checksum = reclaimed ^ (store.io_stats().gc_total() << 16) ^
-                 (store.used_bytes() << 40);
-  if (out.checksum != serial_checksum) {
-    std::cerr << "FATAL: parallel_collection checksum "
-              << out.checksum << " != serial collection_sweep checksum "
-              << serial_checksum << " at --gc-threads=" << gc_threads
-              << " — the batch collector diverged from the serial loop\n";
-    std::exit(1);
-  }
-  return out;
-}
-
 // Growth path: every object fills a whole partition, so each allocation
 // misses the near hint and the allocation cursor and falls through to
 // the first-fit search before growing the database by one partition.
@@ -316,9 +269,6 @@ int main(int argc, char** argv) {
   sections.push_back(WriteRefChurn(args.base_seed));
   sections.push_back(CollectionSweep(args.base_seed, args.connectivity));
   sections.push_back(MarkBitmapScan(args.base_seed, args.connectivity));
-  sections.push_back(ParallelCollection(args.base_seed, args.connectivity,
-                                        args.gc_threads,
-                                        sections[1].checksum));
   sections.push_back(AllocGrowth());
   sections.push_back(BufferPoolLoop(/*hit_heavy=*/true));
   sections.push_back(BufferPoolLoop(/*hit_heavy=*/false));
@@ -340,8 +290,6 @@ int main(int argc, char** argv) {
   w.Value(args.base_seed);
   w.Key("connectivity");
   w.Value(static_cast<uint64_t>(args.connectivity));
-  w.Key("gc_threads");
-  w.Value(static_cast<uint64_t>(args.gc_threads));
   w.Key("sections");
   w.BeginArray();
   for (const Section& s : sections) {

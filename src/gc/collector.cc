@@ -18,8 +18,6 @@ void Collector::AttachTelemetry(obs::Telemetry* telemetry) {
   ti_.gc_io = m.GetHistogram("gc.collection_io_ops");
   ti_.reclaimed = m.GetHistogram("gc.collection_reclaimed_bytes");
   ti_.live = m.GetHistogram("gc.collection_live_bytes");
-  ti_.batch_partitions = m.GetHistogram("gc.batch_partitions");
-  ti_.batch_replans = m.GetCounter("gc.batch_replans");
 }
 
 void Collector::SaveState(SnapshotWriter& w) const {
@@ -53,7 +51,7 @@ void Collector::ScheduleCrash(CrashPoint point, uint64_t attempt) {
 }
 
 void Collector::PlanPartition(const ObjectStore& store, PartitionId partition,
-                              MarkBitmap& mark, CollectionPlan* plan) {
+                              CollectionPlan* plan) {
   std::vector<ObjectId>& copy_order = plan->copy_order;
   std::vector<ObjectId>& reclaim = plan->reclaim;
   copy_order.clear();
@@ -71,11 +69,11 @@ void Collector::PlanPartition(const ObjectStore& store, PartitionId partition,
   // database-sized id space stays L1-resident. copy_order doubles as the
   // BFS worklist (head cursor), which makes it exactly the Cheney
   // breadth-first copy order.
-  mark.Reset(store.max_object_id() + 1);
+  mark_scratch_.Reset(store.max_object_id() + 1);
   const ObjectRecord* headers = store.header_arena();
   uint32_t new_used = 0;
   auto visit = [&](ObjectId id) {
-    if (mark.TestAndSet(id)) {
+    if (mark_scratch_.TestAndSet(id)) {
       copy_order.push_back(id);
       new_used += headers[id].size;
     }
@@ -140,7 +138,7 @@ void Collector::PlanPartition(const ObjectStore& store, PartitionId partition,
   // store: nothing is destroyed or relocated until the flip, so a crash
   // before the commit point leaves from-space fully authoritative.
   for (ObjectId id : part.objects()) {
-    if (mark.Test(id)) continue;
+    if (mark_scratch_.Test(id)) continue;
     ODBGC_CHECK_MSG(!store.IsRoot(id), "collector reclaiming a root");
     ODBGC_CHECK_MSG(!store.IsExternallyPinned(id),
                     "collector reclaiming an externally pinned object");
@@ -181,107 +179,16 @@ CollectionReport Collector::Collect(ObjectStore& store,
   const uint64_t epoch = store.plan_epoch(partition);
   CollectionPlan& plan = plan_cache_[partition];
   if (!plan_cache_valid_[partition] || plan_cache_epoch_[partition] != epoch) {
-    PlanPartition(store, partition, mark_scratch_, &plan);
+    PlanPartition(store, partition, &plan);
     plan_cache_epoch_[partition] = epoch;
     plan_cache_valid_[partition] = 1;
   }
   return ApplyCollection(store, partition, plan);
 }
 
-std::vector<CollectionReport> Collector::CollectBatch(
-    ObjectStore& store, const std::vector<PartitionId>& partitions,
-    ThreadPool* pool) {
-  ODBGC_CHECK_MSG(!journal_.pending,
-                  "CollectBatch while crash recovery is pending");
-  std::vector<CollectionReport> reports;
-  const size_t n = partitions.size();
-  reports.reserve(n);
-  if (n == 0) return reports;
-
-  // Duplicate partitions would alias plans; reject them.
-  std::vector<char> in_batch(store.partition_count(), 0);
-  for (size_t i = 0; i < n; ++i) {
-    ODBGC_CHECK(partitions[i] < store.partition_count());
-    ODBGC_CHECK_MSG(!in_batch[partitions[i]],
-                    "CollectBatch: duplicate partition");
-    in_batch[partitions[i]] = 1;
-  }
-
-  ODBGC_TEL_SPAN(batch_span, tel_, "collection_batch",
-                 {{"partitions", static_cast<uint64_t>(n)}});
-  ODBGC_IF_TEL(tel_) { ti_.batch_partitions->Record(n); }
-
-  // Phase 1 — plan every partition concurrently. Planning is a pure read
-  // of the store; each task owns a private mark bitmap (indexed by worker,
-  // with one extra slot for the submitting thread), so there is no shared
-  // mutable state and no atomics. A partition whose cached plan is still
-  // epoch-valid reuses it (a copy; the shared cache is strictly read-only
-  // here, so workers never race on it).
-  EnsurePlanCache(store);
-  std::vector<uint64_t> epochs(n);
-  for (size_t i = 0; i < n; ++i) epochs[i] = store.plan_epoch(partitions[i]);
-  ODBGC_IF_TEL(tel_) { tel_->Begin("plan"); }
-  std::vector<CollectionPlan> plans(n);
-  auto plan_one = [&](size_t i, MarkBitmap& mark) {
-    const PartitionId p = partitions[i];
-    if (plan_cache_valid_[p] && plan_cache_epoch_[p] == epochs[i]) {
-      plans[i] = plan_cache_[p];
-    } else {
-      PlanPartition(store, p, mark, &plans[i]);
-    }
-  };
-  if (pool != nullptr && pool->size() > 1 && n > 1) {
-    std::vector<MarkBitmap> marks(static_cast<size_t>(pool->size()) + 1);
-    pool->ParallelFor(n, [&](size_t i) {
-      int w = ThreadPool::current_worker_index();
-      const size_t slot = (w < 0 || w >= pool->size())
-                              ? static_cast<size_t>(pool->size())
-                              : static_cast<size_t>(w);
-      plan_one(i, marks[slot]);
-    });
-  } else {
-    for (size_t i = 0; i < n; ++i) plan_one(i, mark_scratch_);
-  }
-  ODBGC_IF_TEL(tel_) { tel_->End("plan"); }
-
-  // Phase 2 — apply serially in the given order. A plan computed against
-  // the pre-batch snapshot can go stale: destroying partition A's garbage
-  // detaches its out-pointers, which may drop a cross-partition in-ref
-  // into a later partition B and shrink B's root set. Every such change
-  // bumps B's plan epoch (that is the plan-epoch contract), so staleness
-  // detection is one integer compare against the epoch the plan was made
-  // at; a dirtied partition is re-planned serially right before its
-  // apply, reproducing what the serial loop would have seen. Everything
-  // else a plan reads is untouched by other partitions' applies, and
-  // apply-time I/O re-reads source positions fresh — so the batch is
-  // byte-identical to the serial loop at any thread count.
-  for (size_t k = 0; k < n; ++k) {
-    const PartitionId p = partitions[k];
-    if (store.plan_epoch(p) != epochs[k]) {
-      ODBGC_IF_TEL(tel_) { ti_.batch_replans->Increment(); }
-      PlanPartition(store, p, mark_scratch_, &plans[k]);
-    }
-    reports.push_back(ApplyCollection(store, p, plans[k]));
-    // A scheduled crash stops the batch; the caller must Recover().
-    if (reports.back().crashed) break;
-  }
-  return reports;
-}
-
 CollectionReport Collector::ApplyCollection(ObjectStore& store,
                                             PartitionId partition,
                                             const CollectionPlan& plan) {
-  ODBGC_CHECK_MSG(!journal_.pending,
-                  "Collect while crash recovery is pending");
-  if (store.IsQuarantined(partition)) {
-    // Covers CollectBatch too: a partition quarantined after its plan was
-    // computed (e.g. an earlier apply's remembered-set read hit a corrupt
-    // page) must not be applied.
-    CollectionReport skipped;
-    skipped.partition = partition;
-    skipped.skipped_quarantine = true;
-    return skipped;
-  }
   ++attempts_;
   const bool crash_now =
       crash_point_ != CrashPoint::kNone && attempts_ == crash_attempt_;

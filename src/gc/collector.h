@@ -10,7 +10,6 @@
 #include "storage/object_store.h"
 #include "storage/types.h"
 #include "util/snapshot.h"
-#include "util/thread_pool.h"
 
 namespace odbgc {
 
@@ -80,16 +79,10 @@ struct RecoveryReport {
 // Every collection is split into a read-only *plan* (mark into a bitmap,
 // derive the Cheney copy order, the reclaim set, and the compacted
 // layout — no store mutation, no I/O dependence) and an *apply* (the
-// I/O, the flip, the remembered-set rewrite, the bookkeeping). Collect()
-// runs plan+apply for one partition; CollectBatch() plans many
-// partitions concurrently on a thread pool and then applies them
-// serially in the given order, which keeps the result — reports, I/O
-// accounting, and final heap state — byte-identical to calling Collect()
-// in a loop at any thread count. Staleness repair: applying partition A
-// can unlink cross-partition references into a later partition B (A's
-// garbage held pointers into B), which shrinks B's root set; the batch
-// detects this and re-plans B serially before applying it, exactly as
-// the serial loop would have seen it.
+// I/O, the flip, the remembered-set rewrite, the bookkeeping). The plan
+// is cached per partition and reused while the store's plan epoch for
+// that partition is unchanged, so a steady-state re-collection skips
+// marking entirely.
 //
 // I/O model: the collector scans the partition's used pages (reads),
 // writes the compacted survivors, and — because relocation changes object
@@ -120,17 +113,6 @@ class Collector {
   Collector() = default;
 
   CollectionReport Collect(ObjectStore& store, PartitionId partition);
-
-  // Collects `partitions` (distinct ids) with the planning phase fanned
-  // out over `pool` (or planned inline when pool is null / single
-  // threaded) and the apply phase run serially in the given order.
-  // Returns one report per partition, in order. If a scheduled crash
-  // fires mid-batch the batch stops at the crashed collection (the
-  // returned vector is short; its last report has crashed == true) and
-  // the caller must Recover() before collecting again.
-  std::vector<CollectionReport> CollectBatch(
-      ObjectStore& store, const std::vector<PartitionId>& partitions,
-      ThreadPool* pool = nullptr);
 
   // Runs the durable commit protocol on every collection (two
   // write-through metadata transfers plus a to-space flush per
@@ -206,21 +188,21 @@ class Collector {
     uint32_t size;
   };
 
-  // Marks `partition` into `mark` (Reset here) and fills `*plan`. Pure
-  // read of the store — safe to run concurrently with other
-  // PlanPartition calls as long as each has its own bitmap and plan.
-  static void PlanPartition(const ObjectStore& store, PartitionId partition,
-                            MarkBitmap& mark, CollectionPlan* plan);
+  // Marks `partition` into the scratch bitmap and fills `*plan`. Pure
+  // read of the store.
+  void PlanPartition(const ObjectStore& store, PartitionId partition,
+                     CollectionPlan* plan);
 
   // Points the plan cache at `store` (keyed by its serial; a different or
   // restored store starts cold) and spans it over the current partition
   // count.
   void EnsurePlanCache(const ObjectStore& store);
 
-  // Steps 2-6 (I/O, flip, remembered sets, bookkeeping, crash handling)
-  // for a partition whose plan is already computed. `plan` is scratch
-  // owned by the caller; its vectors are copied into the journal on a
-  // crash and into the partition's survivor list on completion.
+  // The from-space read and steps 2-6 (I/O, flip, remembered sets,
+  // bookkeeping, crash handling) for a partition whose plan is already
+  // computed. `plan` is the partition's cache entry; its vectors are
+  // copied into the journal on a crash and into the partition's survivor
+  // list on completion.
   CollectionReport ApplyCollection(ObjectStore& store, PartitionId partition,
                                    const CollectionPlan& plan);
 
@@ -257,8 +239,6 @@ class Collector {
     obs::Histogram* gc_io = nullptr;
     obs::Histogram* reclaimed = nullptr;
     obs::Histogram* live = nullptr;
-    obs::Histogram* batch_partitions = nullptr;
-    obs::Counter* batch_replans = nullptr;
   } ti_;
 
   uint64_t collections_ = 0;
@@ -269,7 +249,7 @@ class Collector {
   uint64_t crash_attempt_ = 0;
   Journal journal_;
 
-  // Serial-path scratch, reused across collections (no alloc churn).
+  // Scratch reused across collections (no alloc churn).
   MarkBitmap mark_scratch_;
   std::vector<RemsetTouch> remset_scratch_;
 
@@ -277,8 +257,6 @@ class Collector {
   // plan-input epoch for it is unchanged (ObjectStore::plan_epoch
   // documents exactly what bumps it). Steady-state collections — collect,
   // mutate elsewhere, collect again — skip the whole mark/plan phase.
-  // Collect() fills entries; CollectBatch() only reads them (its planning
-  // workers share the cache concurrently, so the batch never writes it).
   uint64_t cache_serial_ = 0;
   std::vector<CollectionPlan> plan_cache_;
   std::vector<uint64_t> plan_cache_epoch_;

@@ -27,10 +27,9 @@ namespace odbgc {
 // runs are independent, and most grid points replay the *same* OO7
 // application trace. The pieces here exploit both facts:
 //
-//   ThreadPool   - fixed-size worker pool (util/thread_pool.h; moved
-//                  there so gc/'s intra-run parallel collector can share
-//                  it) with an indexed ParallelFor whose results land in
-//                  submission order.
+//   ThreadPool   - fixed-size worker pool (util/thread_pool.h, shared
+//                  with the sharded fleet engine) with an indexed
+//                  ParallelFor whose results land in submission order.
 //   TraceCache   - immutable, shared traces keyed by (Oo7Params, seed):
 //                  each trace is generated exactly once and handed out
 //                  as shared_ptr<const Trace> with zero copies.

@@ -17,8 +17,7 @@ namespace odbgc {
 // iteration that skips clear runs a word (64 ids) at a time.
 //
 // Users: the collector's per-partition marking (gc/collector.h, one
-// bitmap per planning thread in the parallel batch path, so no atomics
-// are needed), and whole-database reachability scans
+// scratch bitmap per collector), and whole-database reachability scans
 // (storage/reachability.h), whose result bitmap exposes the same
 // operator[] the old vector<bool> did.
 class MarkBitmap {

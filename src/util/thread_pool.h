@@ -15,9 +15,8 @@ namespace odbgc {
 int ResolveThreadCount(int threads);
 
 // Fixed-size worker pool over a FIFO task queue. Shared by the sweep
-// engine (sim/parallel.h) and the intra-run parallel collector
-// (gc/collector.h); it lives in util/ so that both layers can use it
-// without a dependency cycle.
+// engine (sim/parallel.h) and the sharded fleet engine
+// (sim/multi_tenant.h).
 class ThreadPool {
  public:
   // threads <= 0 selects ResolveThreadCount's hardware default.
@@ -50,8 +49,7 @@ class ThreadPool {
 
   // Index of the pool worker running the current thread (0-based), or -1
   // when called from a thread that is not a pool worker (e.g. the
-  // submitter). Used by profiling code and by per-worker scratch buffers
-  // (the parallel collector's mark bitmaps) to pick a slot.
+  // submitter). SweepRunner uses it to pick a per-worker trace recorder.
   static int current_worker_index();
 
  private:

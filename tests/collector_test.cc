@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "gc/collector.h"
+#include "oo7/generator.h"
 #include "storage/object_store.h"
 #include "storage/reachability.h"
+#include "tests/replay_test_util.h"
 
 namespace odbgc {
 namespace {
@@ -275,6 +279,182 @@ TEST(CollectorTest, CollectionsPerformedCounterAdvances) {
   gc.Collect(store, 0);
   gc.Collect(store, 0);
   EXPECT_EQ(gc.collections_performed(), 2u);
+}
+
+// --- Plan cache vs fresh plans ---
+//
+// Twin stores driven in lockstep: `warm` keeps one Collector, whose plan
+// cache serves every collection of a partition whose plan epoch did not
+// move; `cold` gets a fresh Collector per call and always re-plans. A
+// missed plan-epoch bump makes the warm side apply a stale plan, which
+// shows up as a report or store divergence.
+
+// Digest of everything a collection can influence: object placement,
+// reverse-index state, partition bookkeeping, and total I/O.
+uint64_t StoreDigest(const ObjectStore& store) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (ObjectId id = 1; id <= store.max_object_id(); ++id) {
+    if (!store.Exists(id)) {
+      mix(0xdead);
+      continue;
+    }
+    const ObjectRecord& rec = store.object(id);
+    mix(rec.partition);
+    mix(rec.offset);
+    mix(rec.xpart_in_refs);
+    for (const Slot& sl : store.slots(id)) mix(sl.target);
+  }
+  for (const Partition& p : store.partitions()) {
+    mix(p.used());
+    mix(p.overwrites());
+    for (ObjectId id : p.objects()) mix(id);
+  }
+  mix(store.io_stats().gc_reads);
+  mix(store.io_stats().gc_writes);
+  mix(store.io_stats().app_reads);
+  mix(store.io_stats().app_writes);
+  mix(store.used_bytes());
+  return h;
+}
+
+class PlanCacheTwin {
+ public:
+  explicit PlanCacheTwin(const StoreConfig& cfg) : warm_(cfg), cold_(cfg) {}
+
+  template <typename Fn>
+  void Mutate(Fn fn) {
+    fn(&warm_);
+    fn(&cold_);
+  }
+
+  void Collect(PartitionId p) {
+    const CollectionReport w = warm_gc_.Collect(warm_, p);
+    const CollectionReport c = Collector().Collect(cold_, p);
+    EXPECT_EQ(w.bytes_reclaimed, c.bytes_reclaimed)
+        << "collection " << collections_ << " of partition " << p;
+    EXPECT_EQ(w.objects_live, c.objects_live)
+        << "collection " << collections_ << " of partition " << p;
+    EXPECT_EQ(w.gc_reads, c.gc_reads)
+        << "collection " << collections_ << " of partition " << p;
+    EXPECT_EQ(w.gc_writes, c.gc_writes)
+        << "collection " << collections_ << " of partition " << p;
+    ++collections_;
+  }
+
+  void CollectAll() {
+    for (PartitionId p = 0; p < warm_.partition_count(); ++p) Collect(p);
+  }
+
+  void ExpectSameStores() const {
+    EXPECT_EQ(StoreDigest(warm_), StoreDigest(cold_))
+        << "after " << collections_ << " collections";
+  }
+
+  const ObjectStore& warm() const { return warm_; }
+  uint64_t collections() const { return collections_; }
+
+ private:
+  ObjectStore warm_;
+  ObjectStore cold_;
+  Collector warm_gc_;
+  uint64_t collections_ = 0;
+};
+
+TEST(PlanCacheTest, CrossPartitionChainFreedByAnotherCollection) {
+  // root(1) in p0 holds the only reference into p1 that keeps 2 alive; a
+  // garbage chain 3 -> 4 crosses p0 -> p1. Collecting p0 destroys 3, the
+  // only external referencer of 4, so p1's cached plan (which kept 4 as
+  // an externally referenced root) must be invalidated.
+  PlanCacheTwin twin(SmallStore());
+  twin.Mutate([](ObjectStore* s) {
+    s->CreateObject(1, 3000, 2);  // p0: root
+    s->CreateObject(3, 1000, 1);  // p0: garbage head
+    s->CreateObject(2, 100, 0);   // p1: live via 1
+    s->CreateObject(4, 100, 0);   // p1: garbage, held only by 3
+    s->AddRoot(1);
+    s->WriteRef(1, 0, 2);
+    s->WriteRef(3, 0, 4);
+  });
+  ASSERT_EQ(twin.warm().object(3).partition, 0u);
+  ASSERT_EQ(twin.warm().object(4).partition, 1u);
+  twin.Collect(1);  // 4 survives: 3 still references it
+  twin.Collect(0);  // destroys 3
+  twin.Collect(1);  // 4 is now unreferenced
+  EXPECT_FALSE(twin.warm().Exists(4));
+  twin.ExpectSameStores();
+}
+
+TEST(PlanCacheTest, CrossPartitionPointerOverwrittenBetweenCollections) {
+  // The only reference to 2 (in p1) is a slot of root 1 (in p0); clearing
+  // that slot must invalidate p1's cached plan.
+  PlanCacheTwin twin(SmallStore());
+  twin.Mutate([](ObjectStore* s) {
+    s->CreateObject(1, 4000, 1);  // p0: root
+    s->CreateObject(2, 100, 0);   // p1
+    s->AddRoot(1);
+    s->WriteRef(1, 0, 2);
+  });
+  ASSERT_EQ(twin.warm().object(2).partition, 1u);
+  twin.Collect(1);
+  twin.Mutate([](ObjectStore* s) { s->WriteRef(1, 0, kNullObject); });
+  twin.Collect(1);
+  EXPECT_FALSE(twin.warm().Exists(2));
+  twin.ExpectSameStores();
+}
+
+TEST(PlanCacheTest, RootSetChangesBetweenCollections) {
+  // Chain 1 -> 2 -> 3 from root 1, plus a second root 4, all in p0. A
+  // collection that reorders or shrinks the partition bumps its epoch
+  // itself, so each mutation below follows a second, no-op collection:
+  // only then is the warm side holding a plan the mutation must
+  // invalidate.
+  PlanCacheTwin twin(SmallStore());
+  twin.Mutate([](ObjectStore* s) {
+    s->CreateObject(1, 100, 1);
+    s->CreateObject(2, 100, 1);
+    s->CreateObject(3, 100, 0);
+    s->CreateObject(4, 100, 0);
+    s->AddRoot(1);
+    s->AddRoot(4);
+    s->WriteRef(1, 0, 2);
+    s->WriteRef(2, 0, 3);
+  });
+  twin.Collect(0);
+  twin.Collect(0);
+  // Removing root 4 turns it into garbage.
+  twin.Mutate([](ObjectStore* s) { s->RemoveRoot(4); });
+  twin.Collect(0);
+  EXPECT_FALSE(twin.warm().Exists(4));
+  twin.ExpectSameStores();
+  twin.Collect(0);
+  // Rooting 3 moves it ahead of 2 in the Cheney copy order.
+  twin.Mutate([](ObjectStore* s) { s->AddRoot(3); });
+  twin.Collect(0);
+  EXPECT_EQ(twin.warm().object(3).offset, 100u);
+  twin.ExpectSameStores();
+}
+
+TEST(PlanCacheTest, Oo7ReplayWithFrequentCollections) {
+  // Every partition is collected after every 8th event of a whole OO7
+  // application (about 2,000 collections, some 60% of them cache hits),
+  // with every kind of store mutation landing between them.
+  Oo7Generator gen(Oo7Params::Tiny(), 11);
+  const Trace trace = gen.GenerateFullApplication();
+  StoreConfig cfg;
+  cfg.partition_bytes = 16 * 1024;
+  cfg.page_bytes = 2 * 1024;
+  cfg.buffer_pages = 8;
+  PlanCacheTwin twin(cfg);
+  for (size_t i = 0; i < trace.size(); ++i) {
+    twin.Mutate([&](ObjectStore* s) { ApplyToStore(trace[i], s); });
+    if (i % 8 == 7) twin.CollectAll();
+  }
+  EXPECT_GT(twin.collections(), 1000u);
+  twin.ExpectSameStores();
 }
 
 }  // namespace

@@ -90,22 +90,7 @@ TEST(BurstyDeletesTest, QuietPhasesAdvanceOverwriteClockWithoutGarbage) {
   ObjectStore store(cfg);
   for (const TraceEvent& e : t.events()) {
     if (e.kind == EventKind::kGarbageMark) break;  // stop at the burst
-    switch (e.kind) {
-      case EventKind::kCreate:
-        store.CreateObject(e.a, e.b, e.c, e.d);
-        break;
-      case EventKind::kWriteRef:
-        store.WriteRef(e.a, e.b, e.c);
-        break;
-      case EventKind::kAddRoot:
-        store.AddRoot(e.a);
-        break;
-      case EventKind::kRemoveRoot:
-        store.RemoveRoot(e.a);
-        break;
-      default:
-        break;
-    }
+    ApplyToStore(e, &store);
   }
   EXPECT_GT(store.pointer_overwrites(), 0u);
   EXPECT_EQ(store.actual_garbage_bytes(), 0u);

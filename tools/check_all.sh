@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Full local gate: plain build + complete test suite + a telemetry
 # smoke (export a trace, validate it with odbgc_tracecheck), a
-# checkpoint/resume + recovery-fuzz smoke (docs/RECOVERY.md), a
-# parallel-collection bench smoke (checksums must agree across
-# --gc-threads), a self-healing chaos smoke (silent corruption must be
-# detected, quarantined and repaired — docs/RECOVERY.md), then both
-# sanitizer passes (tools/check_asan.sh, tools/check_tsan.sh). Each
-# flavor builds into its own directory so the gates do not disturb an
-# existing working build. Usage: tools/check_all.sh
+# checkpoint/resume + recovery-fuzz smoke (docs/RECOVERY.md), a hot-path
+# bench smoke (section checksums must equal BENCH_core.json), a
+# multi-tenant smoke (fleet checksums must agree across thread counts and
+# with BENCH_multi_tenant.json), a self-healing chaos smoke (silent
+# corruption must be detected, quarantined and repaired —
+# docs/RECOVERY.md), an overload-governor smoke, then both sanitizer
+# passes (tools/check_asan.sh, tools/check_tsan.sh). Each flavor builds
+# into its own directory so the gates do not disturb an existing working
+# build. Usage: tools/check_all.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -99,27 +101,23 @@ for c, f in zip(clean["runs"], fail["runs"]):
 print("sweep isolation smoke: 1 structured failure, 3 runs unchanged")
 EOF
 
-# Parallel-collection bench smoke: the hot-path micro-bench asserts
-# internally that CollectBatch matches the serial sweep checksum; here we
-# additionally require every section checksum to be identical across
-# --gc-threads values (separate processes, separate pools).
+# Hot-path bench smoke: every micro_core_hotpath section checksum must
+# equal its checksum_after in the committed BENCH_core.json, so a change
+# to what the storage/GC core computes fails here, not only in the
+# advisory bench-diff CI job.
 bench_dir="$(mktemp -d /tmp/odbgc_bench.XXXXXX)"
 trap 'rm -f "$trace_tmp"; rm -rf "$ckpt_dir" "$bench_dir"' EXIT
 bench="$PWD/build-check/bench/micro_core_hotpath"
-(cd "$bench_dir" && "$bench" --gc-threads=1 > /dev/null &&
-    mv BENCH_hotpath_run.json t1.json)
-(cd "$bench_dir" && "$bench" --gc-threads=4 > /dev/null &&
-    mv BENCH_hotpath_run.json t4.json)
-python3 - "$bench_dir" <<'EOF'
+(cd "$bench_dir" && "$bench" > /dev/null)
+python3 - "$bench_dir/BENCH_hotpath_run.json" BENCH_core.json <<'EOF'
 import json, sys
-d = sys.argv[1]
-t1 = json.load(open(d + "/t1.json"))
-t4 = json.load(open(d + "/t4.json"))
-c1 = {s["name"]: s["checksum"] for s in t1["sections"]}
-c4 = {s["name"]: s["checksum"] for s in t4["sections"]}
-assert c1 == c4, "checksums diverged across --gc-threads: %r vs %r" % (c1, c4)
-print("bench smoke: %d section checksums identical at gc-threads 1 and 4"
-      % len(c1))
+run = {s["name"]: s["checksum"]
+       for s in json.load(open(sys.argv[1]))["sections"]}
+committed = {s["name"]: s["checksum_after"]
+             for s in json.load(open(sys.argv[2]))["sections"]}
+assert run == committed, "hot-path checksums %r != %r committed in %s" % (
+    run, committed, sys.argv[2])
+print("bench smoke: %d section checksums equal %s" % (len(run), sys.argv[2]))
 EOF
 
 # Multi-tenant smoke: the sharded engine's 100-client cell must produce

@@ -43,10 +43,10 @@ bool ReadFile(const std::string& path, std::string* out) {
 // Grown alongside the emit sites; docs/OBSERVABILITY.md carries the
 // same table with the meaning of each.
 const char* const kKnownSpanNames[] = {
-    "collection", "collection_batch", "copy",           "get_trace",
-    "idle_period", "phase",           "plan",           "recovery",
-    "remembered_set", "repair",       "run_simulation", "scan",
-    "verifier",
+    "collection",     "copy",   "get_trace",
+    "idle_period",    "phase",  "recovery",
+    "remembered_set", "repair", "run_simulation",
+    "scan",           "verifier",
 };
 const char* const kKnownInstantNames[] = {
     "collection_aborted_corrupt",
