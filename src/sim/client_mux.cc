@@ -16,11 +16,12 @@ size_t ClientMux::AddClient(std::unique_ptr<EventSource> source,
                   "AddClient after the first Next()");
   Client c;
   c.offset = next_offset_;
-  const uint32_t max_id = source->max_object_id();
-  ODBGC_CHECK_MSG(next_offset_ <=
-                      std::numeric_limits<uint32_t>::max() - (max_id + 1),
+  // In 64 bits: max_id + 1 wraps to 0 in 32 when max_id is UINT32_MAX.
+  const uint64_t next =
+      uint64_t{next_offset_} + source->max_object_id() + 1;
+  ODBGC_CHECK_MSG(next <= std::numeric_limits<uint32_t>::max(),
                   "client id ranges overflow the 32-bit id space");
-  next_offset_ += max_id + 1;
+  next_offset_ = static_cast<uint32_t>(next);
   c.source = std::move(source);
   c.rng = Rng(options.seed);
   c.options = options;

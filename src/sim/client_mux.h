@@ -16,7 +16,7 @@ namespace odbgc {
 // client's own seeded RNG, drawn inside the mux's serial state machine,
 // so the merged stream is a pure function of (clients, options, seeds).
 struct MuxClientOptions {
-  // Baseline events per turn (the legacy interleaver's `chunk`).
+  // Baseline events per turn (InterleaveClients' `chunk`).
   uint32_t base_chunk = 64;
   // Turn length becomes base_chunk + uniform[0, chunk_jitter]; 0 draws
   // no randomness (keeps the stream bit-identical to the jitter-free
@@ -30,28 +30,30 @@ struct MuxClientOptions {
 };
 
 // Streaming multi-client composition: merges events from per-client
-// EventSources into one deterministic stream, drawing lazily — the
-// replacement for the materialize-everything InterleaveClients at
-// fleet scale. 10,000 clients x millions of events cost O(clients)
-// memory: per client the mux holds a source cursor, an id offset, an
-// RNG and a few counters.
+// EventSources into one deterministic stream, drawing lazily. It is the
+// only merge engine: the sharded fleet pulls from it directly, and
+// InterleaveClients (sim/multi_client.h) drains a jitter-free one into a
+// materialized trace. 10,000 clients x millions of events cost
+// O(clients) memory: per client the mux holds a source cursor, an id
+// offset, an RNG and a few counters.
 //
 // Semantics: deterministic round-robin in client-registration order.
 // Each turn draws a chunk of events (base_chunk plus seeded jitter)
 // from one client, extended past the chunk while the client's most
-// recent allocation is still unlinked (the same safe-point rule as
-// InterleaveClients: the store's newest-allocation pin protects exactly
-// one in-flight object, so a client may not be preempted inside its
-// create->link window). Think time makes a client sit out whole rounds.
-// Exhausted clients drop out. Id remapping is an arithmetic offset per
-// client applied at draw time (RemapEventIds), assigning each client
-// the disjoint range [offset, offset + max_object_id] exactly as the
-// legacy path did.
+// recent allocation is still unlinked (the safe-point rule: the store's
+// newest-allocation pin protects exactly one in-flight object, so a
+// client may not be preempted inside its create->link window;
+// multi-event operations protect themselves with explicit workspace
+// roots). Think time makes a client sit out whole rounds. Exhausted
+// clients drop out. Id remapping is an arithmetic offset per client
+// applied at draw time (RemapEventIds), assigning each client the
+// disjoint range [offset + 1, offset + max_object_id].
 //
 // The merged stream depends only on registration order and the options;
 // it is byte-identical however the consumer batches its Next() calls.
-// With zero jitter and zero think time it reproduces
-// InterleaveClients(clients, chunk) event for event.
+// With zero jitter and zero think time it is plain chunked round-robin
+// (tests/client_mux_test.cc checks it against an independent reference
+// merge).
 class ClientMux {
  public:
   ClientMux() = default;
@@ -60,7 +62,8 @@ class ClientMux {
 
   // Registers a client; draws come in registration order. Returns the
   // client's index. All registration must happen before the first
-  // Next() call.
+  // Next() call. Dies if the client's id range would run past the
+  // 32-bit id space.
   size_t AddClient(std::unique_ptr<EventSource> source,
                    const MuxClientOptions& options);
 

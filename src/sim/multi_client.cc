@@ -1,8 +1,9 @@
 #include "sim/multi_client.h"
 
 #include <algorithm>
-#include <utility>
+#include <memory>
 
+#include "sim/client_mux.h"
 #include "util/check.h"
 
 namespace odbgc {
@@ -67,80 +68,25 @@ Trace RemapObjectIds(const Trace& trace, uint32_t offset) {
   return out;
 }
 
-Trace RemapObjectIds(Trace&& trace, uint32_t offset) {
-  Trace out = std::move(trace);
-  for (TraceEvent& e : out.mutable_events()) RemapEventIds(&e, offset);
-  return out;
-}
-
-namespace {
-
-// The merge core shared by both InterleaveClients overloads; inputs are
-// already remapped into disjoint id ranges.
-Trace MergeRemapped(const std::vector<Trace>& remapped, uint32_t chunk) {
-  Trace out;
-  size_t total = 0;
-  for (const Trace& t : remapped) total += t.size();
-  out.Reserve(total);
-
-  // A client may only be preempted at a safe point: not while its most
-  // recent allocation is still unlinked. The store's newest-allocation
-  // pin protects exactly one in-flight object, and a client switch
-  // would displace it; multi-event operations protect themselves with
-  // explicit workspace roots (AddRoot/RemoveRoot), so the create->link
-  // window is the only fragile one.
-  std::vector<size_t> cursor(remapped.size(), 0);
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (size_t c = 0; c < remapped.size(); ++c) {
-      size_t& pos = cursor[c];
-      const Trace& t = remapped[c];
-      uint32_t pending_unlinked = 0;
-      for (uint32_t k = 0; pos < t.size(); ++k, ++pos) {
-        if (k >= chunk && pending_unlinked == 0) break;
-        const TraceEvent& e = t[pos];
-        out.Append(e);
-        progressed = true;
-        if (e.kind == EventKind::kCreate) {
-          pending_unlinked = e.a;
-        } else if (pending_unlinked != 0 &&
-                   ((e.kind == EventKind::kWriteRef &&
-                     e.c == pending_unlinked) ||
-                    (e.kind == EventKind::kAddRoot &&
-                     e.a == pending_unlinked))) {
-          pending_unlinked = 0;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 Trace InterleaveClients(const std::vector<Trace>& clients, uint32_t chunk) {
   ODBGC_CHECK(chunk > 0);
-  // Remap each client into a disjoint id range.
-  std::vector<Trace> remapped;
-  uint32_t offset = 0;
+  MuxClientOptions options;
+  options.base_chunk = chunk;
+  ClientMux mux;
+  size_t total = 0;
   for (const Trace& client : clients) {
-    uint32_t max_id = MaxObjectId(client);
-    remapped.push_back(RemapObjectIds(client, offset));
-    offset += max_id + 1;
+    // Non-owning alias: the mux only reads the caller's trace, which
+    // outlives it.
+    mux.AddClient(std::shared_ptr<const Trace>(std::shared_ptr<void>(),
+                                               &client),
+                  options);
+    total += client.size();
   }
-  return MergeRemapped(remapped, chunk);
-}
-
-Trace InterleaveClients(std::vector<Trace>&& clients, uint32_t chunk) {
-  ODBGC_CHECK(chunk > 0);
-  uint32_t offset = 0;
-  for (Trace& client : clients) {
-    uint32_t max_id = MaxObjectId(client);  // before the in-place shift
-    client = RemapObjectIds(std::move(client), offset);
-    offset += max_id + 1;
-  }
-  return MergeRemapped(clients, chunk);
+  Trace out;
+  out.Reserve(total);
+  TraceEvent e;
+  while (mux.Next(&e)) out.Append(e);
+  return out;
 }
 
 }  // namespace odbgc

@@ -14,11 +14,10 @@ namespace odbgc {
 // "may be in conflict with other applications manipulating the same
 // database"; these helpers build that situation from per-client traces.
 //
-// This is the legacy materializing path (ext_multi_client): every
-// client's whole trace is held in memory and merged into one new trace.
-// The streaming equivalent for thousands of clients is sim/client_mux.h,
-// which draws events lazily and applies the same id remapping
-// arithmetic per event at draw time.
+// The merge itself lives in one place, sim/client_mux.h, which draws
+// events lazily and remaps ids per event at draw time. InterleaveClients
+// below is the materialized form for a handful of recorded traces
+// (ext_multi_client): it drains a jitter-free ClientMux into one trace.
 
 // Adds `offset` to every object id field of one event in place, by
 // event kind (null ids and annotation events are untouched). The single
@@ -31,9 +30,6 @@ void RemapEventIds(TraceEvent* e, uint32_t offset);
 // one store without collisions. Clustering hints are remapped too;
 // annotation events are untouched.
 Trace RemapObjectIds(const Trace& trace, uint32_t offset);
-// In-place overload: rewrites the owned trace without copying its event
-// vector (the legacy interleaver feeds per-client copies through this).
-Trace RemapObjectIds(Trace&& trace, uint32_t offset);
 
 // The largest object id referenced by the trace (0 if none), in one
 // pass over every id-bearing field including clustering hints.
@@ -44,12 +40,12 @@ uint32_t MaxObjectId(const Trace& trace);
 // client by client in chunks of `chunk` events, round-robin, preserving
 // each client's internal order (a simple model of time-sliced clients;
 // the paper's setup serializes access — the database is locked during
-// collection — so no finer concurrency model is needed). Exhausted
-// clients drop out; the result carries every event of every client.
+// collection — so no finer concurrency model is needed). A turn runs
+// past `chunk` while the client's newest allocation is still unlinked
+// (ClientMux's safe-point rule). Exhausted clients drop out; the result
+// carries every event of every client. Dies if the clients' id ranges
+// do not fit the 32-bit id space together.
 Trace InterleaveClients(const std::vector<Trace>& clients, uint32_t chunk);
-// Move overload: consumes the client traces, remapping each in place
-// (halves peak memory — no remapped copy alongside the originals).
-Trace InterleaveClients(std::vector<Trace>&& clients, uint32_t chunk);
 
 }  // namespace odbgc
 

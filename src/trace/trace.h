@@ -36,10 +36,6 @@ class Trace {
   void Reserve(size_t n) { events_.reserve(n); }
 
   const std::vector<TraceEvent>& events() const { return events_; }
-  // Mutable event access for in-place rewriting (RemapObjectIds' move
-  // overload). Shared/cached traces are handed out as const and must
-  // never come through here.
-  std::vector<TraceEvent>& mutable_events() { return events_; }
   size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
   const TraceEvent& operator[](size_t i) const { return events_[i]; }

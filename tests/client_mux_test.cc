@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -36,11 +37,53 @@ Trace Drain(ClientMux& mux) {
   return out;
 }
 
-TEST(ClientMuxTest, JitterFreeStreamMatchesInterleaveClients) {
+// Independent reference for the jitter-free schedule, written without
+// the mux: remap every client into its own id range up front, then take
+// `chunk`-event turns round-robin, running a turn on while the client's
+// newest allocation is still unlinked (neither a WriteRef to it nor an
+// AddRoot of it seen yet).
+Trace ReferenceInterleave(const std::vector<Trace>& clients,
+                          uint32_t chunk) {
+  std::vector<Trace> remapped;
+  uint32_t offset = 0;
+  for (const Trace& t : clients) {
+    remapped.push_back(RemapObjectIds(t, offset));
+    offset += MaxObjectId(t) + 1;
+  }
+  Trace out;
+  std::vector<size_t> cursor(remapped.size(), 0);
+  bool progressed = true;
+  while (progressed) {
+    progressed = false;
+    for (size_t c = 0; c < remapped.size(); ++c) {
+      size_t& pos = cursor[c];
+      const Trace& t = remapped[c];
+      uint32_t pending_unlinked = 0;
+      for (uint32_t k = 0; pos < t.size(); ++k, ++pos) {
+        if (k >= chunk && pending_unlinked == 0) break;
+        const TraceEvent& e = t[pos];
+        out.Append(e);
+        progressed = true;
+        if (e.kind == EventKind::kCreate) {
+          pending_unlinked = e.a;
+        } else if (pending_unlinked != 0 &&
+                   ((e.kind == EventKind::kWriteRef &&
+                     e.c == pending_unlinked) ||
+                    (e.kind == EventKind::kAddRoot &&
+                     e.a == pending_unlinked))) {
+          pending_unlinked = 0;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ClientMuxTest, JitterFreeStreamMatchesReferenceMerge) {
+  const Trace a = TinyOo7(1);
+  const Trace b = SmallChurn(2);
   for (uint32_t chunk : {1u, 17u, 50u}) {
-    Trace a = TinyOo7(1);
-    Trace b = SmallChurn(2);
-    Trace legacy = InterleaveClients({a, b}, chunk);
+    Trace reference = ReferenceInterleave({a, b}, chunk);
 
     ClientMux mux;
     MuxClientOptions opts;
@@ -48,10 +91,14 @@ TEST(ClientMuxTest, JitterFreeStreamMatchesInterleaveClients) {
     mux.AddClient(std::make_shared<Trace>(a), opts);
     mux.AddClient(std::make_shared<Trace>(b), opts);
     Trace streamed = Drain(mux);
+    Trace interleaved = InterleaveClients({a, b}, chunk);
 
-    ASSERT_EQ(streamed.size(), legacy.size()) << "chunk=" << chunk;
-    for (size_t i = 0; i < legacy.size(); ++i) {
-      ASSERT_EQ(streamed[i], legacy[i]) << "chunk=" << chunk << " i=" << i;
+    ASSERT_EQ(streamed.size(), reference.size()) << "chunk=" << chunk;
+    ASSERT_EQ(interleaved.size(), reference.size()) << "chunk=" << chunk;
+    for (size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(streamed[i], reference[i]) << "chunk=" << chunk << " i=" << i;
+      ASSERT_EQ(interleaved[i], reference[i])
+          << "chunk=" << chunk << " i=" << i;
     }
   }
 }
@@ -339,6 +386,24 @@ TEST(ClientMuxAdmissionTest, UninstallingGateRestoresUngatedStream) {
   for (size_t i = 0; i < plain.size(); ++i) {
     ASSERT_EQ(plain[i], cycled[i]) << "i=" << i;
   }
+}
+
+TEST(ClientMuxTest, IdRangePastTheIdSpaceIsRejected) {
+  // An empty source claiming ids up to `max_id`.
+  auto source = [](uint32_t max_id) {
+    return std::make_unique<TraceCursorSource>(nullptr, max_id);
+  };
+  // max_id + 1 must not wrap to 0: a client claiming every id does not
+  // fit even alone.
+  ClientMux full;
+  EXPECT_DEATH(full.AddClient(source(UINT32_MAX), MuxClientOptions{}),
+               "client id ranges overflow the 32-bit id space");
+  // One id short of that fits, and leaves no room for anyone else.
+  ClientMux mux;
+  mux.AddClient(source(UINT32_MAX - 1), MuxClientOptions{});
+  EXPECT_EQ(mux.id_limit(), UINT32_MAX);
+  EXPECT_DEATH(mux.AddClient(source(0), MuxClientOptions{}),
+               "client id ranges overflow the 32-bit id space");
 }
 
 TEST(ClientMuxTest, RegistrationAfterFirstDrawIsRejected) {

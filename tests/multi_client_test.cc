@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <utility>
 #include <vector>
 
 #include "oo7/generator.h"
@@ -169,29 +168,14 @@ TEST(RemapTest, ZeroOffsetIsIdentity) {
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(r[i], a[i]);
 }
 
-TEST(RemapTest, MoveOverloadMatchesCopyWithoutAllocating) {
-  Trace a = SmallChurn(24);
-  Trace copied = RemapObjectIds(a, 500);
-  const TraceEvent* storage = a.events().data();
-  Trace moved = RemapObjectIds(std::move(a), 500);
-  ASSERT_EQ(moved.size(), copied.size());
-  for (size_t i = 0; i < copied.size(); ++i) EXPECT_EQ(moved[i], copied[i]);
-  // In place: the moved-from trace's event array was reused, not copied.
-  EXPECT_EQ(moved.events().data(), storage);
-}
-
-TEST(InterleaveTest, MoveOverloadMatchesCopyOverload) {
-  Trace a = TinyOo7(25);
-  Trace b = SmallChurn(26);
-  Trace by_copy = InterleaveClients({a, b}, 40);
-  std::vector<Trace> clients;
-  clients.push_back(std::move(a));
-  clients.push_back(std::move(b));
-  Trace by_move = InterleaveClients(std::move(clients), 40);
-  ASSERT_EQ(by_move.size(), by_copy.size());
-  for (size_t i = 0; i < by_copy.size(); ++i) {
-    EXPECT_EQ(by_move[i], by_copy[i]);
-  }
+TEST(InterleaveTest, IdRangeOverflowIsRejected) {
+  // Each client alone fits, but the second one's range would wrap past
+  // 2^32 onto the first client's ids.
+  Trace t;
+  t.Append(CreateEvent(0x80000000u, 64, 0));
+  t.Append(AddRootEvent(0x80000000u));
+  EXPECT_DEATH(InterleaveClients({t, t}, 10),
+               "client id ranges overflow the 32-bit id space");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -410,6 +411,21 @@ TEST(MultiTenantPinTest, GovernedFleetMatchesGolden) {
     EXPECT_TRUE(policies.count("budget_coordinator"));
     CheckAgainstGolden("fleet_governed.jsonl", FleetPin(r));
   }
+}
+
+TEST(MultiTenantTest, IdRangeOverflowIsRejected) {
+  // The mux's global check fires first for a client claiming every id;
+  // one id less passes it but not the shard-local check, whose range
+  // starts past the catalog.
+  auto add = [](uint32_t max_id) {
+    MultiTenantEngine engine(SmallFleet(2, 1));
+    engine.AddClient(std::make_unique<TraceCursorSource>(nullptr, max_id),
+                     MuxClientOptions{});
+  };
+  EXPECT_DEATH(add(UINT32_MAX),
+               "client id ranges overflow the 32-bit id space");
+  EXPECT_DEATH(add(UINT32_MAX - 1),
+               "shard-local id ranges overflow the 32-bit id space");
 }
 
 TEST(ExternalPinTest, PinKeepsUnrootedObjectAliveUntilReleased) {
