@@ -29,8 +29,8 @@ bool StreamingChurnSource::Next(TraceEvent* out) {
 
 size_t StreamingChurnSource::ApproxMemoryBytes() const {
   size_t bytes = sizeof(*this);
-  for (const std::deque<uint32_t>& l : lists_) {
-    bytes += l.size() * sizeof(uint32_t);
+  for (const std::vector<uint32_t>& l : lists_) {
+    bytes += l.capacity() * sizeof(uint32_t);
   }
   bytes += (pending_.size() - head_) * sizeof(TraceEvent);  // unread only
   return bytes;
@@ -51,34 +51,41 @@ void StreamingChurnSource::GenerateCycle() {
 
 // The three primitives mirror workloads/synthetic.cc's ListWorld exactly
 // (same events, same ground-truth marks); they differ only in emitting
-// into the pending buffer instead of a trace.
+// into the pending buffer instead of a trace, and in keeping each list
+// oldest first in a vector instead of head first in a deque.
 
 void StreamingChurnSource::Append(uint32_t li) {
   uint32_t node = next_id_++;
   pending_.push_back(CreateEvent(node, options_.node_bytes, 1));
-  uint32_t old_head = lists_[li].empty() ? 0u : lists_[li].front();
+  uint32_t old_head = lists_[li].empty() ? 0u : lists_[li].back();
   pending_.push_back(WriteRefEvent(node, 0, old_head));
   pending_.push_back(WriteRefEvent(root_, li, node));
-  lists_[li].push_front(node);
+  lists_[li].push_back(node);
 }
 
 void StreamingChurnSource::TrimTail(uint32_t li) {
-  std::deque<uint32_t>& list = lists_[li];
+  std::vector<uint32_t>& list = lists_[li];
   ODBGC_CHECK(!list.empty());
-  for (uint32_t node : list) pending_.push_back(ReadEvent(node));
+  // Walk head to tail, unlink the tail from its successor toward the
+  // head (or from the root), then drop it.
+  for (auto it = list.rbegin(); it != list.rend(); ++it) {
+    pending_.push_back(ReadEvent(*it));
+  }
   if (list.size() == 1) {
     pending_.push_back(WriteRefEvent(root_, li, 0));
   } else {
-    pending_.push_back(WriteRefEvent(list[list.size() - 2], 0, 0));
+    pending_.push_back(WriteRefEvent(list[1], 0, 0));
   }
   pending_.push_back(GarbageMarkEvent(options_.node_bytes, 1));
-  list.pop_back();
+  list.erase(list.begin());
 }
 
 void StreamingChurnSource::WalkPrefix(uint32_t li, size_t depth) {
-  const std::deque<uint32_t>& list = lists_[li];
+  const std::vector<uint32_t>& list = lists_[li];
   size_t n = std::min(depth, list.size());
-  for (size_t i = 0; i < n; ++i) pending_.push_back(ReadEvent(list[i]));
+  for (size_t i = 1; i <= n; ++i) {
+    pending_.push_back(ReadEvent(list[list.size() - i]));
+  }
 }
 
 }  // namespace odbgc

@@ -2,7 +2,6 @@
 #define ODBGC_WORKLOADS_STREAMING_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "trace/event_source.h"
@@ -62,7 +61,9 @@ class StreamingChurnSource : public EventSource {
   uint64_t cycle_ = 0;
   uint32_t next_id_ = 1;
   uint32_t root_ = 0;
-  std::vector<std::deque<uint32_t>> lists_;
+  // Each list's node ids, oldest (tail) first: the head is back(),
+  // append is push_back and a trim erases the front.
+  std::vector<std::vector<uint32_t>> lists_;
   // The current cycle's events; Next() reads them at head_ and the next
   // cycle reuses the buffer once all are read.
   std::vector<TraceEvent> pending_;
