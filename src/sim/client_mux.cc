@@ -111,38 +111,51 @@ void ClientMux::EndTurn() {
   turn_budget_ = 0;
 }
 
-bool ClientMux::Next(TraceEvent* out, uint32_t* client) {
+size_t ClientMux::Pull(TraceEvent* out, size_t max, uint32_t* client) {
+  ODBGC_CHECK(max > 0);
   while (alive_ > 0) {
-    if (!turn_active_ && !StartTurn()) return false;
-    Client& c = clients_[current_];
-    TraceEvent e;
-    if (!c.source->Next(&e)) {
-      // Exhausted clients drop out of the rotation for good. A source
-      // may not run dry mid create->link window (its own stream always
-      // links what it creates), so no pending state needs unwinding.
-      c.exhausted = true;
-      --alive_;
-      EndTurn();
-      continue;
+    if (!turn_active_ && !StartTurn()) return 0;
+    const size_t idx = current_;
+    Client& c = clients_[idx];
+    size_t n = 0;
+    while (n < max) {
+      TraceEvent& e = out[n];
+      if (!c.source->Next(&e)) {
+        // Exhausted clients drop out of the rotation for good. A source
+        // may not run dry mid create->link window (its own stream always
+        // links what it creates), so no pending state needs unwinding.
+        c.exhausted = true;
+        --alive_;
+        EndTurn();
+        break;
+      }
+      RemapEventIds(&e, c.offset);
+      if (e.kind == EventKind::kCreate) {
+        c.pending_unlinked = e.a;
+      } else if (c.pending_unlinked != 0 &&
+                 ((e.kind == EventKind::kWriteRef &&
+                   e.c == c.pending_unlinked) ||
+                  (e.kind == EventKind::kAddRoot &&
+                   e.a == c.pending_unlinked))) {
+        c.pending_unlinked = 0;
+      }
+      // Counted before the next source draw, so a source sees the mux's
+      // position advance one event at a time.
+      ++events_drawn_;
+      ++n;
+      if (turn_budget_ > 0) --turn_budget_;
+      if (turn_budget_ == 0 && c.pending_unlinked == 0) {
+        EndTurn();
+        break;
+      }
     }
-    RemapEventIds(&e, c.offset);
-    if (e.kind == EventKind::kCreate) {
-      c.pending_unlinked = e.a;
-    } else if (c.pending_unlinked != 0 &&
-               ((e.kind == EventKind::kWriteRef &&
-                 e.c == c.pending_unlinked) ||
-                (e.kind == EventKind::kAddRoot &&
-                 e.a == c.pending_unlinked))) {
-      c.pending_unlinked = 0;
+    if (n > 0) {
+      if (client != nullptr) *client = static_cast<uint32_t>(idx);
+      return n;
     }
-    if (turn_budget_ > 0) --turn_budget_;
-    if (turn_budget_ == 0 && c.pending_unlinked == 0) EndTurn();
-    ++events_drawn_;
-    *out = e;
-    if (client != nullptr) *client = static_cast<uint32_t>(current_);
-    return true;
+    // The turn's client was already dry: on to the next turn.
   }
-  return false;
+  return 0;
 }
 
 size_t ClientMux::ApproxMemoryBytes() const {

@@ -31,7 +31,7 @@ struct MuxClientOptions {
 
 // Streaming multi-client composition: merges events from per-client
 // EventSources into one deterministic stream, drawing lazily. It is the
-// only merge engine: the sharded fleet pulls from it directly, and
+// only merge engine: the sharded fleet pulls whole turns from it, and
 // InterleaveClients (sim/multi_client.h) drains a jitter-free one into a
 // materialized trace. 10,000 clients x millions of events cost
 // O(clients) memory: per client the mux holds a source cursor, an id
@@ -50,10 +50,11 @@ struct MuxClientOptions {
 // disjoint range [offset + 1, offset + max_object_id].
 //
 // The merged stream depends only on registration order and the options;
-// it is byte-identical however the consumer batches its Next() calls.
-// With zero jitter and zero think time it is plain chunked round-robin
-// (tests/client_mux_test.cc checks it against an independent reference
-// merge).
+// it is byte-identical however the consumer mixes and sizes its Pull()
+// and Next() calls. Next() is Pull() of one event, so the turn and
+// safe-point logic exists once. With zero jitter and zero think time it
+// is plain chunked round-robin (tests/client_mux_test.cc checks it
+// against an independent reference merge).
 class ClientMux {
  public:
   ClientMux() = default;
@@ -62,7 +63,7 @@ class ClientMux {
 
   // Registers a client; draws come in registration order. Returns the
   // client's index. All registration must happen before the first
-  // Next() call. Dies if the client's id range would run past the
+  // draw. Dies if the client's id range would run past the
   // 32-bit id space.
   size_t AddClient(std::unique_ptr<EventSource> source,
                    const MuxClientOptions& options);
@@ -73,11 +74,22 @@ class ClientMux {
   size_t AddClient(std::shared_ptr<const Trace> trace,
                    const MuxClientOptions& options);
 
-  // Draws the next merged event. Returns false when every client is
-  // exhausted. When `client` is non-null it receives the index of the
-  // client that produced the event — the sharded engine routes on it
-  // (annotation events carry no object id to route by).
-  bool Next(TraceEvent* out, uint32_t* client = nullptr);
+  // Draws up to `max` (> 0) merged events into out[0, n) and returns n,
+  // or 0 once every client is exhausted. The n events are one turn's, or
+  // the part of it that fits: the call stops at the turn's safe point,
+  // at `max`, or where the turn's client runs dry, and the next call
+  // resumes the same turn. When `client` is non-null it receives the
+  // index of the client that produced them — the sharded engine routes
+  // on it (annotation events carry no object id to route by). Each
+  // event costs one EventSource::Next call, and events_drawn() advances
+  // before the next one, so a source sees the mux's position move one
+  // event at a time.
+  size_t Pull(TraceEvent* out, size_t max, uint32_t* client);
+
+  // Draws the next merged event; false when every client is exhausted.
+  bool Next(TraceEvent* out, uint32_t* client = nullptr) {
+    return Pull(out, 1, client) == 1;
+  }
 
   // Admission backpressure. When a gate is installed, StartTurn consults
   // it at each turn boundary (the same safe points that bound create->
@@ -86,7 +98,7 @@ class ClientMux {
   // unconditionally after `defer_limit` consecutive deferrals, so
   // admission can never starve the collections that need events applied
   // to make progress. The gate MUST be a deterministic function of
-  // (client, state updated only between Next() calls) — the merged
+  // (client, state updated only between Pull() calls) — the merged
   // stream stays a pure function of registration order, options and the
   // gate's decisions, byte-identical across consumers and thread counts.
   // Passing a null gate uninstalls it. defer_limit == 0 disables the

@@ -8,33 +8,6 @@
 
 namespace odbgc {
 
-// Which fields of an event hold object ids (by kind).
-void RemapEventIds(TraceEvent* e, uint32_t offset) {
-  auto shift = [offset](uint32_t id) {
-    return id == 0 ? 0u : id + offset;
-  };
-  switch (e->kind) {
-    case EventKind::kCreate:
-      e->a = shift(e->a);
-      e->d = shift(e->d);  // clustering hint
-      break;
-    case EventKind::kRead:
-    case EventKind::kUpdate:
-    case EventKind::kAddRoot:
-    case EventKind::kRemoveRoot:
-      e->a = shift(e->a);
-      break;
-    case EventKind::kWriteRef:
-      e->a = shift(e->a);
-      e->c = shift(e->c);  // target (0 stays null)
-      break;
-    case EventKind::kGarbageMark:
-    case EventKind::kPhaseMark:
-    case EventKind::kIdleMark:
-      break;
-  }
-}
-
 uint32_t MaxObjectId(const Trace& trace) {
   uint32_t max_id = 0;
   for (const TraceEvent& e : trace.events()) {

@@ -19,11 +19,37 @@ namespace odbgc {
 // below is the materialized form for a handful of recorded traces
 // (ext_multi_client): it drains a jitter-free ClientMux into one trace.
 
-// Adds `offset` to every object id field of one event in place, by
-// event kind (null ids and annotation events are untouched). The single
-// shared definition of "which fields hold ids" — used by the trace-copy
-// remap below and by ClientMux's draw-time remap.
-void RemapEventIds(TraceEvent* e, uint32_t offset);
+// Adds `offset` (mod 2^32) to every object id field of one event in
+// place, by event kind (null ids and annotation events are untouched).
+// The single definition of "which fields hold ids" — used by the
+// trace-copy remap below, by ClientMux's draw-time remap and by the
+// sharded engine's shard-local remap. Inline: both draw paths run it
+// on every event.
+inline void RemapEventIds(TraceEvent* e, uint32_t offset) {
+  auto shift = [offset](uint32_t id) {
+    return id == 0 ? 0u : id + offset;
+  };
+  switch (e->kind) {
+    case EventKind::kCreate:
+      e->a = shift(e->a);
+      e->d = shift(e->d);  // clustering hint
+      break;
+    case EventKind::kRead:
+    case EventKind::kUpdate:
+    case EventKind::kAddRoot:
+    case EventKind::kRemoveRoot:
+      e->a = shift(e->a);
+      break;
+    case EventKind::kWriteRef:
+      e->a = shift(e->a);
+      e->c = shift(e->c);  // target (0 stays null)
+      break;
+    case EventKind::kGarbageMark:
+    case EventKind::kPhaseMark:
+    case EventKind::kIdleMark:
+      break;
+  }
+}
 
 // Rewrites every object id in `trace` by adding `offset`, so traces
 // generated independently (each numbering its objects from 1) can share

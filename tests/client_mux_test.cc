@@ -29,13 +29,62 @@ Trace SmallChurn(uint64_t seed) {
   return MakeUniformChurn(o);
 }
 
-// Drains a mux to exhaustion into a materialized trace.
-Trace Drain(ClientMux& mux) {
+// Drains a mux to exhaustion into a materialized trace, one Next() at a
+// time; `clients`, when non-null, receives each event's client.
+Trace Drain(ClientMux& mux, std::vector<uint32_t>* clients = nullptr) {
   Trace out;
   TraceEvent e;
-  while (mux.Next(&e)) out.Append(e);
+  uint32_t client = 0;
+  while (mux.Next(&e, &client)) {
+    out.Append(e);
+    if (clients != nullptr) clients->push_back(client);
+  }
   return out;
 }
+
+// Drains a mux with a ragged consumer: Pull() calls whose `max` cycles
+// through 1..97, with every third call a single Next() instead, and a
+// client-state peek between calls (observation must be inert).
+Trace RaggedDrain(ClientMux& mux, std::vector<uint32_t>* clients) {
+  Trace out;
+  std::vector<TraceEvent> buf(97);
+  size_t max = 1;
+  for (uint64_t call = 0;; ++call) {
+    uint32_t client = UINT32_MAX;
+    size_t n = 0;
+    if (call % 3 == 2) {
+      n = mux.Next(buf.data(), &client) ? 1 : 0;
+    } else {
+      n = mux.Pull(buf.data(), max, &client);
+      max = max % 97 + 1;
+    }
+    if (n == 0) return out;
+    for (size_t i = 0; i < n; ++i) {
+      out.Append(buf[i]);
+      clients->push_back(client);
+    }
+    (void)mux.alive();
+  }
+}
+
+// An EventSource that counts the Next() calls made on it.
+class CountingSource : public EventSource {
+ public:
+  explicit CountingSource(std::shared_ptr<const Trace> trace)
+      : inner_(trace, MaxObjectId(*trace)) {}
+  bool Next(TraceEvent* out) override {
+    ++calls_;
+    return inner_.Next(out);
+  }
+  uint32_t max_object_id() const override {
+    return inner_.max_object_id();
+  }
+  uint64_t calls() const { return calls_; }
+
+ private:
+  TraceCursorSource inner_;
+  uint64_t calls_ = 0;
+};
 
 // Independent reference for the jitter-free schedule, written without
 // the mux: remap every client into its own id range up front, then take
@@ -116,7 +165,8 @@ TEST(ClientMuxTest, StreamIndependentOfConsumerPullPattern) {
   // The merged stream must not depend on how the consumer batches its
   // pulls. Build the same two-mux fleet twice (with jitter and think
   // time, so every RNG path is live) and draw one in singles, the other
-  // in ragged batches interleaved with client-state peeks.
+  // through ragged Pull() and Next() calls; the events and the client
+  // reported for each must agree.
   auto build = [] {
     auto mux = std::make_unique<ClientMux>();
     MuxClientOptions opts;
@@ -132,28 +182,119 @@ TEST(ClientMuxTest, StreamIndependentOfConsumerPullPattern) {
     return mux;
   };
   auto ones = build();
-  Trace singles = Drain(*ones);
+  std::vector<uint32_t> single_clients;
+  Trace singles = Drain(*ones, &single_clients);
 
   auto batched = build();
-  Trace ragged;
-  TraceEvent e;
-  size_t batch = 1;
-  bool done = false;
-  while (!done) {
-    for (size_t i = 0; i < batch; ++i) {
-      if (!batched->Next(&e)) {
-        done = true;
-        break;
-      }
-      ragged.Append(e);
-    }
-    (void)batched->alive();  // interleaved observation must be inert
-    batch = (batch % 97) + 3;
-  }
+  std::vector<uint32_t> ragged_clients;
+  Trace ragged = RaggedDrain(*batched, &ragged_clients);
   ASSERT_EQ(ragged.size(), singles.size());
   for (size_t i = 0; i < singles.size(); ++i) {
     ASSERT_EQ(ragged[i], singles[i]) << "i=" << i;
   }
+  EXPECT_EQ(ragged_clients, single_clients);
+}
+
+// Exhaustion edges of Pull(). The mux finds a client dry on the first
+// source draw after its last event, the draw Next() would make, and
+// drops it without a think-time rest: a rest would leave the dry client
+// in the rotation, to be found dry a second time when it woke. So the
+// source sees exactly one Next() call beyond its events.
+struct ExhaustionFleet {
+  CountingSource* short_source = nullptr;
+  ClientMux mux;
+};
+
+// Client 0 replays a 5-event trace, client 1 a longer churn; both take
+// 16-event turns and think between them, so a stray rest has an RNG
+// path to take.
+void BuildExhaustionFleet(ExhaustionFleet* f) {
+  Trace t;
+  t.Append(CreateEvent(1, 64, 0));
+  t.Append(AddRootEvent(1));
+  t.Append(ReadEvent(1));
+  t.Append(ReadEvent(1));
+  t.Append(ReadEvent(1));
+  MuxClientOptions opts;
+  opts.base_chunk = 16;
+  opts.think_time = 3;
+  opts.seed = 41;
+  auto source =
+      std::make_unique<CountingSource>(std::make_shared<Trace>(std::move(t)));
+  f->short_source = source.get();
+  f->mux.AddClient(std::move(source), opts);
+  opts.seed = 42;
+  f->mux.AddClient(std::make_shared<Trace>(SmallChurn(14)), opts);
+}
+
+// Makes one Pull() of up to `max` events, appends what it returns, and
+// returns the count.
+size_t PullOnce(ClientMux& mux, size_t max, Trace* events,
+                std::vector<uint32_t>* clients) {
+  std::vector<TraceEvent> buf(max);
+  uint32_t client = UINT32_MAX;
+  const size_t n = mux.Pull(buf.data(), max, &client);
+  for (size_t i = 0; i < n; ++i) {
+    events->Append(buf[i]);
+    clients->push_back(client);
+  }
+  return n;
+}
+
+// Finishes the drain in 64-event pulls and compares the whole stream,
+// events and clients, with the fleet's Next()-only drain.
+void ExpectNextOnlyStream(ExhaustionFleet* f, Trace* events,
+                          std::vector<uint32_t>* clients) {
+  while (PullOnce(f->mux, 64, events, clients) > 0) {
+  }
+  EXPECT_EQ(f->short_source->calls(), 6u);
+  ExhaustionFleet ref;
+  BuildExhaustionFleet(&ref);
+  std::vector<uint32_t> want_clients;
+  const Trace want = Drain(ref.mux, &want_clients);
+  ASSERT_EQ(events->size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ((*events)[i], want[i]) << "i=" << i;
+  }
+  EXPECT_EQ(*clients, want_clients);
+}
+
+TEST(ClientMuxPullTest, SourceRunsDryMidTurn) {
+  // Asked for 16, the turn gets the source's 5 events, finds it dry on
+  // the sixth draw and drops the client; the next call starts client
+  // 1's turn.
+  ExhaustionFleet f;
+  BuildExhaustionFleet(&f);
+  Trace events;
+  std::vector<uint32_t> clients;
+  ASSERT_EQ(PullOnce(f.mux, 16, &events, &clients), 5u);
+  EXPECT_EQ(clients.back(), 0u);
+  EXPECT_EQ(f.short_source->calls(), 6u);
+  EXPECT_EQ(f.mux.alive(), 1u);
+  EXPECT_EQ(f.mux.events_drawn(), 5u);
+  ASSERT_GT(PullOnce(f.mux, 16, &events, &clients), 0u);
+  EXPECT_EQ(clients.back(), 1u);
+  EXPECT_EQ(f.short_source->calls(), 6u);
+  ExpectNextOnlyStream(&f, &events, &clients);
+}
+
+TEST(ClientMuxPullTest, LastEventLandsOnAMaxBoundary) {
+  // The 5 events fill a max of 5 mid-turn: the source is not drawn past
+  // them and the client stays alive. The next call makes that draw,
+  // drops the client and returns client 1's turn instead.
+  ExhaustionFleet f;
+  BuildExhaustionFleet(&f);
+  Trace events;
+  std::vector<uint32_t> clients;
+  ASSERT_EQ(PullOnce(f.mux, 5, &events, &clients), 5u);
+  EXPECT_EQ(clients.back(), 0u);
+  EXPECT_EQ(f.short_source->calls(), 5u);
+  EXPECT_EQ(f.mux.alive(), 2u);
+  ASSERT_GT(PullOnce(f.mux, 16, &events, &clients), 0u);
+  EXPECT_EQ(clients.back(), 1u);
+  EXPECT_EQ(f.short_source->calls(), 6u);
+  EXPECT_EQ(f.mux.alive(), 1u);
+  ExpectNextOnlyStream(&f, &events, &clients);
 }
 
 TEST(ClientMuxTest, ExhaustedClientsDropOutAndStreamStaysComplete) {
@@ -299,8 +440,7 @@ TEST(ClientMuxTest, SourceMemoryIsIndependentOfRemainingEvents) {
     ASSERT_TRUE(a.Next(&e));
     ASSERT_TRUE(b.Next(&e));
   }
-  // Identical prefix behavior -> identical resident state; allow slack
-  // for deque block granularity.
+  // Identical prefix behavior -> identical resident state.
   EXPECT_LT(b.ApproxMemoryBytes(), 2 * a.ApproxMemoryBytes());
 }
 
@@ -341,27 +481,17 @@ TEST(ClientMuxAdmissionTest, GatedStreamIndependentOfPullPattern) {
     return mux;
   };
   auto ones = build();
-  Trace singles = Drain(*ones);
+  std::vector<uint32_t> single_clients;
+  Trace singles = Drain(*ones, &single_clients);
 
   auto batched = build();
-  Trace ragged;
-  TraceEvent e;
-  size_t batch = 1;
-  bool done = false;
-  while (!done) {
-    for (size_t i = 0; i < batch; ++i) {
-      if (!batched->Next(&e)) {
-        done = true;
-        break;
-      }
-      ragged.Append(e);
-    }
-    batch = (batch % 7) + 1;
-  }
+  std::vector<uint32_t> ragged_clients;
+  Trace ragged = RaggedDrain(*batched, &ragged_clients);
   ASSERT_EQ(singles.size(), ragged.size());
   for (size_t i = 0; i < singles.size(); ++i) {
     ASSERT_EQ(singles[i], ragged[i]) << "i=" << i;
   }
+  EXPECT_EQ(ragged_clients, single_clients);
   EXPECT_EQ(ones->admission_deferrals(), batched->admission_deferrals());
 }
 
