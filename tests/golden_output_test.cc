@@ -12,13 +12,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "oo7/generator.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
 #include "storage/buffer_pool.h"
 #include "tests/golden_util.h"
+#include "tools/tool_common.h"
+#include "util/flags.h"
+#include "workloads/synthetic.h"
 
 namespace odbgc {
 namespace {
@@ -248,6 +254,197 @@ TEST(GoldenOutputTest, DecisionJsonlIsByteIdentical) {
   r.decisions.push_back(
       SyntheticDecision(n, obs::DecisionReason::kBudgetGrant, "saio"));
   CheckAgainstGolden("decisions.jsonl", DecisionsToJsonl(r));
+}
+
+// --- The three collection paths: scheduled, idle and governor-forced ---
+//
+// Each run below exists for one path (or one branch of it: a corrupt
+// abort, a crash rolled back or forward, safe mode) and asserts that the
+// path's counter is non-zero. The golden holds one line per run: its
+// headline counters plus a 64-bit FNV-1a digest of the full report
+// (collection log included) and of its decision ledger.
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The trace and config `odbgc_run <args>` would build (seed 1 unless
+// given; selector seed = seed * 7919 + 17).
+void FromCliFlags(std::vector<std::string> args, Trace* trace,
+                  SimConfig* config) {
+  std::vector<char*> argv = {const_cast<char*>("odbgc_run")};
+  for (std::string& a : args) argv.push_back(a.data());
+  Flags flags;
+  std::string error;
+  ASSERT_TRUE(Flags::Parse(static_cast<int>(argv.size()), argv.data(),
+                           &flags, &error))
+      << error;
+  ASSERT_TRUE(tools::BuildWorkloadTrace(flags, trace, &error)) << error;
+  ASSERT_TRUE(tools::BuildSimConfig(flags, config, &error)) << error;
+}
+
+SimResult RunPinned(SimConfig config, const Trace& trace) {
+  config.telemetry.enabled = true;
+  config.telemetry.record_decisions = true;
+  return RunSimulation(config, trace);
+}
+
+std::string PinLine(const char* name, const SimResult& r) {
+  char line[640];
+  std::snprintf(
+      line, sizeof(line),
+      "{\"run\":\"%s\",\"events\":%" PRIu64 ",\"collections\":%" PRIu64
+      ",\"idle_collections\":%" PRIu64 ",\"boost_collections\":%" PRIu64
+      ",\"emergency_collections\":%" PRIu64 ",\"aborted_corrupt\":%" PRIu64
+      ",\"crashes\":%" PRIu64 ",\"rollbacks\":%" PRIu64
+      ",\"rollforwards\":%" PRIu64 ",\"safe_mode_entries\":%" PRIu64
+      ",\"reclaimed_bytes\":%" PRIu64 ",\"decisions\":%zu"
+      ",\"report_fnv1a\":\"%016" PRIx64 "\",\"ledger_fnv1a\":\"%016" PRIx64
+      "\"}",
+      name, r.clock.events, r.collections, r.idle_collections,
+      r.governor_boost_collections, r.governor_emergency_collections,
+      r.collections_aborted_corrupt, r.crashes, r.recovery_rollbacks,
+      r.recovery_rollforwards, r.safe_mode_entries, r.total_reclaimed_bytes,
+      r.decisions.size(), Fnv1a(StripBuildInfo(SimResultToJson(r))),
+      Fnv1a(DecisionsToJsonl(r)));
+  return line;
+}
+
+// bench/ext_overload.cc's lazy fixed-rate store.
+SimConfig OverloadBurstConfig(uint64_t max_db_bytes, bool governor) {
+  SimConfig cfg;
+  cfg.store.partition_bytes = 32 * 1024;
+  cfg.store.page_bytes = 4 * 1024;
+  cfg.store.buffer_pages = 8;
+  cfg.store.max_db_bytes = max_db_bytes;
+  cfg.policy = PolicyKind::kFixedRate;
+  cfg.fixed_rate_overwrites = 20000;
+  cfg.preamble_collections = 2;
+  cfg.record_collection_log = false;
+  cfg.governor.enabled = governor;
+  cfg.telemetry.enabled = true;
+  return cfg;
+}
+
+TEST(GoldenOutputTest, CollectionPathsAreByteIdentical) {
+#if !ODBGC_TELEMETRY
+  GTEST_SKIP() << "the pin digests the decision ledger (telemetry)";
+#endif
+  const std::vector<std::string> oo7_idle = {
+      "--workload=oo7", "--oo7=smallprime", "--idle-after-reorg1=300"};
+  const std::vector<std::string> chaos = {
+      "--bitflip-prob=0.01", "--decay-prob=0.005", "--decay-latency=32",
+      "--dead-page-prob=0.002", "--dead-partition-prob=0.2"};
+  auto with = [](std::vector<std::string> a,
+                 const std::vector<std::string>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  std::vector<std::string> lines;
+  Trace trace;
+  SimConfig cfg;
+
+  // (a) Scheduled and idle collections under SAGA FGS/HB 10% with
+  // opportunism, the chaos soak's fault plan and the scrubber on:
+  // corrupt aborts on both paths, each collection verified.
+  FromCliFlags(with(with(oo7_idle, chaos),
+                    {"--policy=saga", "--opportunism", "--fault-seed=1003",
+                     "--scrub-interval=32", "--scrub-pages=8"}),
+               &trace, &cfg);
+  cfg.verify_after_collection = true;
+  SimResult r = RunPinned(cfg, trace);
+  EXPECT_GT(r.idle_collections, 0u);
+  EXPECT_GT(r.collections_aborted_corrupt, 0u);
+  lines.push_back(PinLine("a_saga_chaos_idle", r));
+
+  // (b) The same trace under SAIO with opportunism and the scrubber off:
+  // most corrupt aborts land on idle collections.
+  trace = Trace();
+  cfg = SimConfig();
+  FromCliFlags(with(with(oo7_idle, chaos),
+                    {"--policy=saio", "--opportunism", "--fault-seed=1004"}),
+               &trace, &cfg);
+  r = RunPinned(cfg, trace);
+  EXPECT_GT(r.idle_collections, 0u);
+  EXPECT_GT(r.collections_aborted_corrupt, 0u);
+  lines.push_back(PinLine("b_saio_chaos_idle", r));
+
+  // (c) Capped, governed uniform churn whose fixed rate never fires:
+  // every collection is a governor boost, one of them a corrupt abort.
+  trace = Trace();
+  cfg = SimConfig();
+  FromCliFlags({"--workload=uniform-churn", "--cycles=4000", "--lists=8",
+                "--length=16", "--policy=fixed", "--rate=1000000",
+                "--max-db-mb=1", "--bitflip-prob=0.02", "--decay-prob=0.01",
+                "--decay-latency=32", "--fault-seed=2001", "--governor"},
+               &trace, &cfg);
+  r = RunPinned(cfg, trace);
+  EXPECT_GT(r.governor_boost_collections, 0u);
+  EXPECT_GT(r.collections_aborted_corrupt, 0u);
+  lines.push_back(PinLine("c_governed_churn_chaos", r));
+
+  // (d) bench/ext_overload.cc's governed scenario: a ceiling at a quarter
+  // of the uncapped footprint forces emergency collections.
+  UniformChurnOptions churn;
+  churn.seed = 1;
+  churn.cycles = 6000;
+  trace = MakeUniformChurn(churn);
+  const SimResult uncapped =
+      RunSimulation(OverloadBurstConfig(0, false), trace);
+  const uint64_t cap = static_cast<uint64_t>(
+      static_cast<double>(uncapped.final_partition_count * 32 * 1024) *
+      0.25);
+  r = RunPinned(OverloadBurstConfig(cap, true), trace);
+  EXPECT_GT(r.governor_emergency_collections, 0u);
+  lines.push_back(PinLine("d_overload_emergency", r));
+
+  // (e) Collector crashes under SAGA with opportunism: one rolled back
+  // on a scheduled collection, one rolled forward on the first idle one.
+  trace = Trace();
+  cfg = SimConfig();
+  FromCliFlags(with(oo7_idle, {"--policy=saga", "--opportunism"}), &trace,
+               &cfg);
+  SimConfig crash = cfg;
+  crash.store.fault.crash_point = CrashPoint::kAfterCopy;
+  crash.store.fault.crash_at_collection = 40;
+  r = RunPinned(crash, trace);
+  EXPECT_EQ(r.recovery_rollbacks, 1u);
+  ASSERT_GE(r.phases.size(), 3u);  // GenDB, Reorg1, Traverse, ...
+  EXPECT_LE(crash.store.fault.crash_at_collection, r.phases[2].at_collection);
+  lines.push_back(PinLine("e_crash_rolled_back_scheduled", r));
+  crash.store.fault.crash_point = CrashPoint::kBeforeFlip;
+  crash.store.fault.crash_at_collection = 71;
+  r = RunPinned(crash, trace);
+  EXPECT_EQ(r.recovery_rollforwards, 1u);
+  EXPECT_GT(r.idle_collections, 0u);
+  ASSERT_GE(r.phases.size(), 3u);
+  EXPECT_EQ(crash.store.fault.crash_at_collection,
+            r.phases[2].at_collection + 1);
+  lines.push_back(PinLine("e_crash_rolled_forward_idle", r));
+
+  // (f) SAGA CGS/CB whose estimate diverges past the governor's 1% fence:
+  // safe mode takes over the scheduled path.
+  trace = Trace();
+  cfg = SimConfig();
+  FromCliFlags({"--workload=oo7", "--oo7=smallprime", "--policy=saga",
+                "--estimator=cgscb", "--governor",
+                "--safe-mode-divergence=0.01"},
+               &trace, &cfg);
+  r = RunPinned(cfg, trace);
+  EXPECT_GT(r.safe_mode_entries, 0u);
+  lines.push_back(PinLine("f_saga_safe_mode", r));
+
+  std::string out;
+  for (const std::string& line : lines) {
+    if (!out.empty()) out += "\n";
+    out += line;
+  }
+  CheckAgainstGolden("collection_paths.jsonl", out);
 }
 
 }  // namespace
