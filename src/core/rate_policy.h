@@ -1,6 +1,7 @@
 #ifndef ODBGC_CORE_RATE_POLICY_H_
 #define ODBGC_CORE_RATE_POLICY_H_
 
+#include <cstdint>
 #include <string>
 
 #include "core/clock.h"
@@ -8,6 +9,15 @@
 #include "util/snapshot.h"
 
 namespace odbgc {
+
+// What a policy aims at and last scheduled, for the host's collection log
+// and run report. Fields a policy does not have read zero.
+struct PolicyState {
+  double garbage_target_frac = 0.0;  // SAGA_Frac
+  uint64_t last_interval = 0;        // the interval armed last
+  uint64_t dt_min_clamps = 0;        // intervals raised to the minimum
+  uint64_t dt_max_clamps = 0;        // intervals cut to the maximum
+};
 
 // A collection-rate policy decides *when* the next garbage collection
 // should run (the policy area this paper introduces). The host system
@@ -57,6 +67,10 @@ class RatePolicy {
   // threshold is not retroactively moved, so a budget change never
   // reorders an already-scheduled collection.
   virtual void SetIoBudget(double io_frac) { (void)io_frac; }
+
+  // Zeros by default: a policy without these fields, or a wrapper that
+  // does not forward this, reports none.
+  virtual PolicyState State() const { return PolicyState{}; }
 
   // Checkpoint hooks (sim/checkpoint.h). Implementations serialize their
   // mutable scheduling state — thresholds, histories, smoothed slopes —

@@ -57,14 +57,15 @@ class SagaPolicy : public RatePolicy {
   void OnIdleCollection(const CollectionOutcome& outcome,
                         const SimClock& clock) override;
 
+  PolicyState State() const override {
+    return {options_.garbage_frac, last_dt_, dt_min_clamps_, dt_max_clamps_};
+  }
+
   GarbageEstimator& estimator() { return *estimator_; }
   const GarbageEstimator& estimator() const { return *estimator_; }
   const Options& options() const { return options_; }
 
-  uint64_t last_dt() const { return last_dt_; }
   double slope() const { return slope_; }
-  uint64_t dt_min_clamps() const { return dt_min_clamps_; }
-  uint64_t dt_max_clamps() const { return dt_max_clamps_; }
 
   // Serializes the control state and the owned estimator's state.
   void SaveState(SnapshotWriter& w) const override;

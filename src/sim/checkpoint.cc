@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "core/fixed_rate.h"
 #include "obs/telemetry.h"
 #include "sim/simulation.h"
 #include "util/snapshot.h"
@@ -294,16 +293,7 @@ void Simulation::RestoreState(SnapshotReader& r) {
   if (has_governor) {
     governor_->RestoreState(r);
     safe_mode_ = r.Bool();
-    if (r.Bool()) {
-      if (safe_policy_ == nullptr) {
-        safe_policy_ = std::make_unique<FixedRatePolicy>(
-            config_.governor.safe_mode_fixed_interval);
-#if ODBGC_TELEMETRY
-        if (tel_ != nullptr) safe_policy_->AttachTelemetry(tel_.get());
-#endif
-      }
-      safe_policy_->RestoreState(r);
-    }
+    if (r.Bool()) SafePolicy().RestoreState(r);
   }
   // Telemetry sub-blob. Empty means the checkpointed run had telemetry
   // off; a non-empty blob is restored only when this run has telemetry

@@ -73,18 +73,9 @@ Simulation::Simulation(const SimConfig& config,
   InitGovernor();
 }
 
-namespace {
-
-std::unique_ptr<RatePolicy> BuildPolicy(const SimConfig& config,
-                                        GarbageEstimator** hook) {
-  return MakePolicy(config, hook);
-}
-
-}  // namespace
-
 Simulation::Simulation(const SimConfig& config)
     : config_(config), store_(std::make_unique<ObjectStore>(config.store)) {
-  policy_ = BuildPolicy(config_, &estimator_);
+  policy_ = MakePolicy(config_, &estimator_);
   selector_ = MakeSelector(config_.selector, config_.selector_seed);
   ConfigureCollector();
   InitTelemetry();
@@ -126,21 +117,6 @@ void Simulation::ConfigureCollector() {
   if (plan.crash_point != CrashPoint::kNone) {
     collector_.ScheduleCrash(plan.crash_point, plan.crash_at_collection);
   }
-}
-
-bool Simulation::HandleCrash(CollectionReport* report) {
-  ++result_.crashes;
-  RecoveryReport rec = collector_.Recover(*store_);
-  ++result_.recoveries;
-  result_.recovery_redo_updates += rec.redo_external_updates;
-  if (rec.rolled_forward) {
-    ++result_.recovery_rollforwards;
-    *report = rec.completed;
-  } else {
-    ++result_.recovery_rollbacks;
-  }
-  if (config_.verify_after_recovery) RunVerifier("recovery");
-  return rec.rolled_forward;
 }
 
 void Simulation::RunVerifier(const char* when) {
@@ -273,10 +249,8 @@ void Simulation::UpdateClock() {
 }
 
 void Simulation::SampleGarbage() {
-  uint64_t used = store_->used_bytes();
-  if (used == 0) return;
-  double pct = 100.0 * static_cast<double>(store_->actual_garbage_bytes()) /
-               static_cast<double>(used);
+  if (store_->used_bytes() == 0) return;
+  const double pct = GarbagePct();
   ODBGC_IF_TEL(tel_.get()) { tel_garbage_pct_->Set(pct); }
   whole_run_garbage_pct_.Add(pct);
   if (result_.window_opened) result_.garbage_pct.Add(pct);
@@ -314,14 +288,8 @@ void Simulation::OpenWindowIfReady() {
   // preamble (up to the 30-collection bound the paper reports).
   if (config_.policy == PolicyKind::kSaga &&
       result_.collections < config_.preamble_max_collections) {
-    double target_pct = 100.0 * config_.saga.garbage_frac;
-    uint64_t used = store_->used_bytes();
-    double actual_pct =
-        used == 0 ? 0.0
-                  : 100.0 *
-                        static_cast<double>(store_->actual_garbage_bytes()) /
-                        static_cast<double>(used);
-    if (actual_pct < 0.9 * target_pct) return;
+    const double target_pct = 100.0 * config_.saga.garbage_frac;
+    if (GarbagePct() < 0.9 * target_pct) return;
   }
   result_.window_opened = true;
   window_app_io_base_ = clock_.app_io;
@@ -329,38 +297,40 @@ void Simulation::OpenWindowIfReady() {
   window_reclaimed_base_ = result_.total_reclaimed_bytes;
 }
 
-void Simulation::MaybeCollect() {
-  if (store_->partition_count() == 0) return;
-  if (!ActivePolicy()->ShouldCollect(clock_)) return;
-
-  PartitionId pid = selector_->Select(*store_);
-  // Every partition quarantined: nothing is collectable until repair
-  // releases one; the policy gets another chance at the next event.
-  if (pid == kInvalidPartition) return;
-  uint64_t overwrites_at_selection = store_->partition(pid).overwrites();
-  CollectionReport report = collector_.Collect(*store_, pid);
-  if (report.aborted_corrupt) {
-    // The from-space scan detected corruption and the collection backed
-    // out before its commit point; the detection is pending and the next
-    // SelfHealTick quarantines + repairs the partition. The aborted
-    // scan's I/O stays in the store's counters (it really happened).
+bool Simulation::CollectOne(PartitionSelector& selector,
+                            CollectionReport* report) {
+  const PartitionId pid = selector.Select(*store_);
+  if (pid == kInvalidPartition) return false;  // everything quarantined
+  *report = collector_.Collect(*store_, pid);
+  if (report->aborted_corrupt) {
+    // The collection backed out before its commit point; its detection
+    // stays pending for the caller, its scan's I/O in the store's counters.
     ++result_.collections_aborted_corrupt;
     UpdateClock();
-    return;
+    return false;
   }
-  if (report.skipped_quarantine) return;
-  if (report.crashed && !HandleCrash(&report)) {
-    // Rolled back: no collection happened (its wasted I/O is still in the
-    // store's counters); the policy gets another chance at the next event.
-    UpdateClock();
-    return;
+  if (report->skipped_quarantine) return false;
+  if (report->crashed) {
+    ++result_.crashes;
+    const RecoveryReport rec = collector_.Recover(*store_);
+    ++result_.recoveries;
+    result_.recovery_redo_updates += rec.redo_external_updates;
+    if (config_.verify_after_recovery) RunVerifier("recovery");
+    if (!rec.rolled_forward) {
+      // Rolled back: no collection, but its wasted I/O stays counted.
+      ++result_.recovery_rollbacks;
+      UpdateClock();
+      return false;
+    }
+    ++result_.recovery_rollforwards;
+    *report = rec.completed;
   }
   if (config_.verify_after_collection) RunVerifier("collection");
 
   EstimatorCollectionInfo info;
-  info.partition = pid;
-  info.bytes_reclaimed = report.bytes_reclaimed;
-  info.partition_overwrites = overwrites_at_selection;
+  info.partition = report->partition;
+  info.bytes_reclaimed = report->bytes_reclaimed;
+  info.partition_overwrites = report->overwrites_at_collection;
   info.partition_count = store_->partition_count();
   info.ground_truth_garbage_bytes = store_->actual_garbage_bytes();
   if (estimator_ != nullptr) estimator_->OnCollection(info);
@@ -369,10 +339,21 @@ void Simulation::MaybeCollect() {
   }
 
   UpdateClock();
+  result_.total_reclaimed_bytes += report->bytes_reclaimed;
+  result_.total_reclaimed_objects += report->objects_reclaimed;
+  return true;
+}
+
+void Simulation::MaybeCollect() {
+  if (store_->partition_count() == 0) return;
+  if (!ActivePolicy()->ShouldCollect(clock_)) return;
+  // On a corrupt abort this event's SelfHealTick quarantines the
+  // partition after the clock update, so clock().db_used_bytes, read by
+  // the fleet between events, still counts it until the next event.
+  CollectionReport report;
+  if (!CollectOne(*selector_, &report)) return;
   ++clock_.collections;
   ++result_.collections;
-  result_.total_reclaimed_bytes += report.bytes_reclaimed;
-  result_.total_reclaimed_objects += report.objects_reclaimed;
 
   ODBGC_IF_TEL(tel_.get()) {
     // The collection's copy traffic is an app-visible stall regardless of
@@ -387,12 +368,10 @@ void Simulation::MaybeCollect() {
       CollectionOutcome{report.gc_io(), report.bytes_reclaimed}, clock_);
 
   if (estimator_ != nullptr && store_->used_bytes() > 0) {
-    const double used = static_cast<double>(store_->used_bytes());
-    const double actual_pct =
-        100.0 * static_cast<double>(store_->actual_garbage_bytes()) / used;
-    const double est_pct = 100.0 * estimator_->Estimate() / used;
+    const double est_pct = 100.0 * estimator_->Estimate() /
+                           static_cast<double>(store_->used_bytes());
     last_estimate_valid_ = true;
-    last_estimate_error_pp_ = est_pct - actual_pct;
+    last_estimate_error_pp_ = est_pct - GarbagePct();
     ODBGC_IF_TEL(tel_.get()) {
       // Histograms hold integers; store hundredths of a percentage point.
       tel_est_err_->Record(static_cast<uint64_t>(
@@ -419,24 +398,18 @@ void Simulation::MaybeCollect() {
     rec.overwrite_time = clock_.pointer_overwrites;
     rec.app_io = clock_.app_io;
     rec.gc_io_delta = report.gc_io();
-    rec.partition = pid;
+    rec.partition = report.partition;
     rec.bytes_reclaimed = report.bytes_reclaimed;
     rec.bytes_live = report.bytes_live;
     rec.db_used_bytes = store_->used_bytes();
-    uint64_t used = store_->used_bytes();
-    if (used > 0) {
-      rec.actual_garbage_pct =
-          100.0 * static_cast<double>(store_->actual_garbage_bytes()) /
-          static_cast<double>(used);
-      if (estimator_ != nullptr) {
-        rec.estimated_garbage_pct = 100.0 * estimator_->Estimate() /
-                                    static_cast<double>(used);
-      }
+    rec.actual_garbage_pct = GarbagePct();
+    if (estimator_ != nullptr && rec.db_used_bytes > 0) {
+      rec.estimated_garbage_pct = 100.0 * estimator_->Estimate() /
+                                  static_cast<double>(rec.db_used_bytes);
     }
-    if (auto* saga = dynamic_cast<SagaPolicy*>(policy_.get())) {
-      rec.target_garbage_pct = 100.0 * saga->options().garbage_frac;
-      rec.next_dt = saga->last_dt();
-    }
+    const PolicyState state = policy_->State();
+    rec.target_garbage_pct = 100.0 * state.garbage_target_frac;
+    rec.next_dt = state.last_interval;
     rec.phase = current_phase_;
     result_.log.push_back(rec);
   }
@@ -460,10 +433,7 @@ void Simulation::StageDecisionContext(obs::DecisionLedger& ledger,
   }
   ctx.db_used_bytes = store_->used_bytes();
   ctx.actual_garbage_bytes = store_->actual_garbage_bytes();
-  if (ctx.db_used_bytes > 0) {
-    ctx.garbage_pct = 100.0 * static_cast<double>(ctx.actual_garbage_bytes) /
-                      static_cast<double>(ctx.db_used_bytes);
-  }
+  ctx.garbage_pct = GarbagePct();
   // Estimator panel: the policy's own estimate plus the spread across
   // every attached estimator (policy + passives) — the disagreement
   // signal the paper's Section 4 accuracy discussion is about.
@@ -653,10 +623,9 @@ SimResult Simulation::Finish() {
     result_.disk_sequential_transfers = disk->sequential_transfers();
     result_.disk_random_transfers = disk->random_transfers();
   }
-  if (auto* saga = dynamic_cast<SagaPolicy*>(policy_.get())) {
-    result_.dt_min_clamps = saga->dt_min_clamps();
-    result_.dt_max_clamps = saga->dt_max_clamps();
-  }
+  const PolicyState state = policy_->State();
+  result_.dt_min_clamps = state.dt_min_clamps;
+  result_.dt_max_clamps = state.dt_max_clamps;
   const IoStats& io = store_->io_stats();
   result_.io_retries = io.retries_total();
   result_.io_read_failures = io.read_failures;
@@ -694,38 +663,17 @@ void Simulation::RunIdlePeriod(uint32_t max_collections) {
   for (uint32_t i = 0; i < max_collections; ++i) {
     UpdateClock();
     if (!ActivePolicy()->ShouldCollectWhenIdle(clock_)) break;
-    PartitionId pid = selector_->Select(*store_);
-    if (pid == kInvalidPartition) break;  // everything quarantined
-    uint64_t overwrites_at_selection = store_->partition(pid).overwrites();
-    CollectionReport report = collector_.Collect(*store_, pid);
-    if (report.aborted_corrupt) {
-      // Quarantine immediately (the idle loop re-selects within this
-      // event, so the detection must take effect now or the same damaged
-      // partition would be re-scanned until the iteration bound).
-      ++result_.collections_aborted_corrupt;
-      DrainCorruption();
+    CollectionReport report;
+    if (!CollectOne(*selector_, &report)) {
+      if (report.partition == kInvalidPartition) break;  // all quarantined
+      // Quarantine now: the loop re-selects within this event, so the
+      // same damaged partition would otherwise be re-scanned until the
+      // iteration bound.
+      if (report.aborted_corrupt) DrainCorruption();
       continue;
     }
-    if (report.skipped_quarantine) continue;
-    if (report.crashed && !HandleCrash(&report)) continue;
-    if (config_.verify_after_collection) RunVerifier("collection");
-
-    EstimatorCollectionInfo info;
-    info.partition = pid;
-    info.bytes_reclaimed = report.bytes_reclaimed;
-    info.partition_overwrites = overwrites_at_selection;
-    info.partition_count = store_->partition_count();
-    info.ground_truth_garbage_bytes = store_->actual_garbage_bytes();
-    if (estimator_ != nullptr) estimator_->OnCollection(info);
-    for (GarbageEstimator* passive : passive_estimators_) {
-      passive->OnCollection(info);
-    }
-
-    UpdateClock();
     ++result_.idle_collections;
     result_.idle_gc_io += report.gc_io();
-    result_.total_reclaimed_bytes += report.bytes_reclaimed;
-    result_.total_reclaimed_objects += report.objects_reclaimed;
     ODBGC_IF_TEL(tel_.get()) {
       if (obs::DecisionLedger* ledger = tel_->ledger()) {
         StageDecisionContext(*ledger, report, /*idle=*/true);
@@ -788,57 +736,31 @@ void Simulation::GovernorTick() {
 
 bool Simulation::GovernorCollect(obs::DecisionReason reason) {
   if (store_->partition_count() == 0) return false;
-  PartitionSelector* sel = reason == obs::DecisionReason::kEmergencyGc
-                               ? emergency_selector_.get()
-                               : selector_.get();
-  PartitionId pid = sel->Select(*store_);
-  if (pid == kInvalidPartition) return false;  // everything quarantined
-  uint64_t overwrites_at_selection = store_->partition(pid).overwrites();
-  CollectionReport report = collector_.Collect(*store_, pid);
-  if (report.aborted_corrupt) {
+  PartitionSelector& selector = reason == obs::DecisionReason::kEmergencyGc
+                                    ? *emergency_selector_
+                                    : *selector_;
+  CollectionReport report;
+  if (!CollectOne(selector, &report)) {
     // Quarantine now: the emergency loop re-selects within this tick, so
-    // the detection must take effect immediately or the same damaged
-    // partition would be re-scanned until the iteration bound.
-    ++result_.collections_aborted_corrupt;
-    DrainCorruption();
-    UpdateClock();
+    // the same damaged partition would otherwise be re-scanned until the
+    // iteration bound.
+    if (report.aborted_corrupt) {
+      DrainCorruption();
+      UpdateClock();
+    }
     return false;
   }
-  if (report.skipped_quarantine) return false;
-  if (report.crashed && !HandleCrash(&report)) {
-    UpdateClock();
-    return false;
-  }
-  if (config_.verify_after_collection) RunVerifier("collection");
-
-  EstimatorCollectionInfo info;
-  info.partition = pid;
-  info.bytes_reclaimed = report.bytes_reclaimed;
-  info.partition_overwrites = overwrites_at_selection;
-  info.partition_count = store_->partition_count();
-  info.ground_truth_garbage_bytes = store_->actual_garbage_bytes();
-  if (estimator_ != nullptr) estimator_->OnCollection(info);
-  for (GarbageEstimator* passive : passive_estimators_) {
-    passive->OnCollection(info);
-  }
-
-  UpdateClock();
   // Governor-forced collections are outside the policy's schedule: like
   // idle collections they skip OnCollection (the policy's own threshold
   // stays armed) and are accounted in the governor_* counters, not
   // result_.collections.
   result_.governor_gc_io += report.gc_io();
-  result_.total_reclaimed_bytes += report.bytes_reclaimed;
-  result_.total_reclaimed_objects += report.objects_reclaimed;
   ODBGC_IF_TEL(tel_.get()) { tel_stall_gc_copy_->Record(report.gc_io()); }
   LedgerGovernorRecord(reason, report, 100.0 * store_->utilization());
   return true;
 }
 
-void Simulation::EnterSafeMode() {
-  safe_mode_ = true;
-  ++result_.safe_mode_entries;
-  governor_->EnterSafeMode();
+RatePolicy& Simulation::SafePolicy() {
   if (safe_policy_ == nullptr) {
     safe_policy_ = std::make_unique<FixedRatePolicy>(
         config_.governor.safe_mode_fixed_interval);
@@ -846,9 +768,17 @@ void Simulation::EnterSafeMode() {
     if (tel_ != nullptr) safe_policy_->AttachTelemetry(tel_.get());
 #endif
   }
+  return *safe_policy_;
+}
+
+void Simulation::EnterSafeMode() {
+  safe_mode_ = true;
+  ++result_.safe_mode_entries;
+  governor_->EnterSafeMode();
   // FixedRatePolicy's threshold semantics make the first safe-mode
   // collection fire at the next event — exactly the right reflex when
   // the configured policy has just been judged untrustworthy.
+  SafePolicy();
   LedgerGovernorRecord(obs::DecisionReason::kSafeModeEnter,
                        CollectionReport{}, 100.0 * store_->utilization());
 }

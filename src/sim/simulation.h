@@ -108,29 +108,39 @@ class Simulation {
   // shares between events without waiting for Finish()).
   const SimClock& clock() const { return clock_; }
 
-  // Overload governor view (sim/governor.h). kNormal / false when the
-  // governor is disabled. The multi-tenant engine reads these from its
-  // serial sections to drive admission backpressure and the per-shard
-  // circuit breaker.
+  // Overload governor view (sim/governor.h); kNormal when the governor
+  // is disabled. The multi-tenant engine reads it from its serial
+  // sections to drive admission backpressure and the per-shard circuit
+  // breaker.
   PressureLevel pressure_level() const {
     return governor_ != nullptr ? governor_->level()
                                 : PressureLevel::kNormal;
   }
-  bool safe_mode() const { return safe_mode_; }
-  const SimResult& result_so_far() const { return result_; }
 
  private:
   void UpdateClock();
   void SampleGarbage();
+  // Actual garbage as a percentage of the store's used bytes (0 when the
+  // store is empty).
+  double GarbagePct() const {
+    const uint64_t used = store_->used_bytes();
+    if (used == 0) return 0.0;
+    return 100.0 * static_cast<double>(store_->actual_garbage_bytes()) /
+           static_cast<double>(used);
+  }
   // Applies the config's FaultPlan to the collector (commit protocol,
   // scheduled crash).
   void ConfigureCollector();
-  // Recovers from an injected crash; returns true when recovery rolled
-  // the collection forward, replacing *report with the completed one.
-  bool HandleCrash(CollectionReport* report);
   // Runs the heap verifier; aborts with `when` in the message on any
   // violation.
   void RunVerifier(const char* when);
+  // The one collection path of the scheduled, idle and governor callers:
+  // select, collect, recover an injected crash, verify, feed the
+  // estimators, update the clock and the reclaimed totals. Returns true
+  // when a collection completed. Otherwise *report has partition
+  // kInvalidPartition if nothing was selectable, or aborted_corrupt with
+  // the detection left pending for the caller to quarantine.
+  bool CollectOne(PartitionSelector& selector, CollectionReport* report);
   void MaybeCollect();
   // Self-healing, run at every event boundary: drains the buffer pool's
   // corruption detections into quarantines, runs a scrub quantum when
@@ -152,6 +162,8 @@ class Simulation {
   // when nothing was collectable (no partitions, all quarantined, or the
   // collection backed out). Accounted outside the policy's schedule.
   bool GovernorCollect(obs::DecisionReason reason);
+  // The safe-mode fallback policy, built on first use and then kept.
+  RatePolicy& SafePolicy();
   void EnterSafeMode();
   void ExitSafeMode();
   // The policy currently steering collections: the configured one, or
@@ -218,10 +230,9 @@ class Simulation {
   Scrubber scrubber_;
 
   // Overload protection (null / false unless config.governor.enabled).
-  // The safe-mode fallback policy is created lazily on first entry and
-  // kept for re-entries; the emergency selector is the highest-garbage
-  // oracle regardless of the configured selection policy (at red the
-  // goal is bytes back per collection, not estimator fidelity).
+  // The emergency selector is the highest-garbage oracle regardless of
+  // the configured selection policy (at red the goal is bytes back per
+  // collection, not estimator fidelity).
   std::unique_ptr<PressureGovernor> governor_;
   std::unique_ptr<RatePolicy> safe_policy_;
   std::unique_ptr<PartitionSelector> emergency_selector_;

@@ -45,7 +45,7 @@ TEST(SagaPolicyTest, NoGarbageCreationSchedulesFarAhead) {
   s.oracle->SetGroundTruth(0.0);
   s.policy->OnCollection(CollectionOutcome{0, 0}, At(100, 10000));
   s.policy->OnCollection(CollectionOutcome{0, 0}, At(200, 10000));
-  EXPECT_EQ(s.policy->last_dt(), s.policy->options().dt_max);
+  EXPECT_EQ(s.policy->State().last_interval, s.policy->options().dt_max);
 }
 
 TEST(SagaPolicyTest, OverBudgetWithDeadSlopeCollectsSoon) {
@@ -55,8 +55,8 @@ TEST(SagaPolicyTest, OverBudgetWithDeadSlopeCollectsSoon) {
   s.policy->OnCollection(CollectionOutcome{0, 0}, At(100, 10000));
   s.policy->OnCollection(CollectionOutcome{0, 0}, At(200, 10000));
   // numerator = CurrColl - GarbDiff = 0 - (5000 - 1000) < 0 -> dt_min.
-  EXPECT_EQ(s.policy->last_dt(), s.policy->options().dt_min);
-  EXPECT_GE(s.policy->dt_min_clamps(), 1u);
+  EXPECT_EQ(s.policy->State().last_interval, s.policy->options().dt_min);
+  EXPECT_GE(s.policy->State().dt_min_clamps, 1u);
 }
 
 TEST(SagaPolicyTest, SteadyStateComputesPaperFormula) {
@@ -75,7 +75,7 @@ TEST(SagaPolicyTest, SteadyStateComputesPaperFormula) {
   // dt = 400 / 8 = 50.
   s.oracle->SetGroundTruth(1200.0);
   s.policy->OnCollection(CollectionOutcome{0, 600}, At(200, 10000));
-  EXPECT_EQ(s.policy->last_dt(), 50u);
+  EXPECT_EQ(s.policy->State().last_interval, 50u);
   EXPECT_DOUBLE_EQ(s.policy->slope(), 8.0);
 }
 
@@ -107,8 +107,8 @@ TEST(SagaPolicyTest, DtClampedToMax) {
   s.oracle->SetGroundTruth(100.0);
   s.policy->OnCollection(CollectionOutcome{0, 0}, At(200, 1000000));
   // slope = 1; numerator = 0 - (100 - 100000) = 99900 -> dt huge.
-  EXPECT_EQ(s.policy->last_dt(), o.dt_max);
-  EXPECT_GE(s.policy->dt_max_clamps(), 1u);
+  EXPECT_EQ(s.policy->State().last_interval, o.dt_max);
+  EXPECT_GE(s.policy->State().dt_max_clamps, 1u);
 }
 
 TEST(SagaPolicyTest, DtClampedToMin) {
@@ -121,7 +121,7 @@ TEST(SagaPolicyTest, DtClampedToMin) {
   s.oracle->SetGroundTruth(50000.0);
   s.policy->OnCollection(CollectionOutcome{0, 0}, At(200, 10000));
   // slope = 500; numerator = 0 - (50000 - 1000) < 0 -> dt_min.
-  EXPECT_EQ(s.policy->last_dt(), o.dt_min);
+  EXPECT_EQ(s.policy->State().last_interval, o.dt_min);
 }
 
 TEST(SagaPolicyTest, NextCollectionScheduledAtDt) {
@@ -132,7 +132,7 @@ TEST(SagaPolicyTest, NextCollectionScheduledAtDt) {
   s.policy->OnCollection(CollectionOutcome{0, 500}, At(100, 10000));
   s.oracle->SetGroundTruth(1200.0);
   s.policy->OnCollection(CollectionOutcome{0, 600}, At(200, 10000));
-  ASSERT_EQ(s.policy->last_dt(), 50u);
+  ASSERT_EQ(s.policy->State().last_interval, 50u);
   EXPECT_FALSE(s.policy->ShouldCollect(At(249, 10000)));
   EXPECT_TRUE(s.policy->ShouldCollect(At(250, 10000)));
 }
@@ -192,21 +192,21 @@ TEST(SagaPolicyTest, TargetScalesWithDatabaseSize) {
   s.policy->OnCollection(CollectionOutcome{0, 0}, At(100, 10000));
   s.oracle->SetGroundTruth(2000.0);
   s.policy->OnCollection(CollectionOutcome{0, 1000}, At(200, 10000));
-  uint64_t small_db_dt = s.policy->last_dt();
+  uint64_t small_db_dt = s.policy->State().last_interval;
 
   OracleSaga s2(o);
   s2.oracle->SetGroundTruth(0.0);
   s2.policy->OnCollection(CollectionOutcome{0, 0}, At(100, 100000));
   s2.oracle->SetGroundTruth(2000.0);
   s2.policy->OnCollection(CollectionOutcome{0, 1000}, At(200, 100000));
-  uint64_t big_db_dt = s2.policy->last_dt();
+  uint64_t big_db_dt = s2.policy->State().last_interval;
   EXPECT_GT(big_db_dt, small_db_dt);
 }
 
 TEST(SagaPolicyTest, ClampCountersStartAtZero) {
   OracleSaga s(Opts(0.10));
-  EXPECT_EQ(s.policy->dt_min_clamps(), 0u);
-  EXPECT_EQ(s.policy->dt_max_clamps(), 0u);
+  EXPECT_EQ(s.policy->State().dt_min_clamps, 0u);
+  EXPECT_EQ(s.policy->State().dt_max_clamps, 0u);
 }
 
 }  // namespace

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/estimator.h"
 #include "oo7/generator.h"
+#include "sim/report.h"
 #include "sim/runner.h"
 #include "sim/simulation.h"
+#include "workloads/synthetic.h"
 
 namespace odbgc {
 namespace {
@@ -208,6 +216,229 @@ TEST(SimulationTest, EstimatorHookWiredForSaga) {
   cfg.policy = PolicyKind::kSaio;
   auto policy2 = MakePolicy(cfg, &hook);
   EXPECT_EQ(hook, nullptr);
+}
+
+// Forwards every RatePolicy virtual to the policy it wraps, as a timing
+// or logging decorator would.
+class ForwardingPolicy : public RatePolicy {
+ public:
+  explicit ForwardingPolicy(std::unique_ptr<RatePolicy> inner)
+      : inner_(std::move(inner)) {}
+  bool ShouldCollect(const SimClock& clock) override {
+    return inner_->ShouldCollect(clock);
+  }
+  void OnCollection(const CollectionOutcome& outcome,
+                    const SimClock& clock) override {
+    inner_->OnCollection(outcome, clock);
+  }
+  bool ShouldCollectWhenIdle(const SimClock& clock) override {
+    return inner_->ShouldCollectWhenIdle(clock);
+  }
+  void OnIdleCollection(const CollectionOutcome& outcome,
+                        const SimClock& clock) override {
+    inner_->OnIdleCollection(outcome, clock);
+  }
+  std::string name() const override { return inner_->name(); }
+  void SetIoBudget(double io_frac) override { inner_->SetIoBudget(io_frac); }
+  PolicyState State() const override { return inner_->State(); }
+  void SaveState(SnapshotWriter& w) const override { inner_->SaveState(w); }
+  void RestoreState(SnapshotReader& r) override { inner_->RestoreState(r); }
+
+ private:
+  std::unique_ptr<RatePolicy> inner_;
+};
+
+TEST(SimulationTest, WrappedPolicyReportsItsInnerPolicyState) {
+  SimConfig cfg;
+  cfg.policy = PolicyKind::kSaga;
+  cfg.estimator = EstimatorKind::kFgsHb;
+  cfg.saga.garbage_frac = 0.10;
+  const Trace trace =
+      Oo7Generator(Oo7Params::SmallPrime(), 7).GenerateFullApplication();
+  const SimResult plain = RunSimulation(cfg, trace);
+
+  GarbageEstimator* estimator = nullptr;
+  auto policy = std::make_unique<ForwardingPolicy>(MakePolicy(cfg, &estimator));
+  Simulation sim(cfg, std::move(policy),
+                 MakeSelector(cfg.selector, cfg.selector_seed), estimator);
+  const SimResult wrapped = sim.Run(trace);
+
+  ASSERT_GT(plain.log.size(), 10u);
+  ASSERT_EQ(wrapped.log.size(), plain.log.size());
+  for (size_t i = 0; i < plain.log.size(); ++i) {
+    EXPECT_DOUBLE_EQ(wrapped.log[i].target_garbage_pct, 10.0) << i;
+    EXPECT_EQ(wrapped.log[i].next_dt, plain.log[i].next_dt) << i;
+  }
+  EXPECT_GT(plain.dt_min_clamps, 0u);
+  EXPECT_GT(plain.dt_max_clamps, 0u);
+  EXPECT_EQ(wrapped.dt_min_clamps, plain.dt_min_clamps);
+  EXPECT_EQ(wrapped.dt_max_clamps, plain.dt_max_clamps);
+  EXPECT_EQ(SimResultToJson(wrapped), SimResultToJson(plain));
+}
+
+// What a selector chose, and which choice each estimator feed followed.
+struct FeedLog {
+  struct Selection {
+    PartitionId partition;
+    uint64_t overwrites;  // the partition's overwrites() at Select
+  };
+  std::vector<Selection> selections;
+  std::vector<EstimatorCollectionInfo> feeds;
+  std::vector<size_t> feed_selection;  // index into selections
+};
+
+class RecordingSelector : public PartitionSelector {
+ public:
+  RecordingSelector(std::unique_ptr<PartitionSelector> inner, FeedLog* log)
+      : inner_(std::move(inner)), log_(log) {}
+  PartitionId Select(const ObjectStore& store) override {
+    const PartitionId pid = inner_->Select(store);
+    if (pid != kInvalidPartition) {
+      log_->selections.push_back({pid, store.partition(pid).overwrites()});
+    }
+    return pid;
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<PartitionSelector> inner_;
+  FeedLog* log_;
+};
+
+class RecordingEstimator : public GarbageEstimator {
+ public:
+  explicit RecordingEstimator(FeedLog* log) : log_(log) {}
+  double Estimate() const override { return 0.0; }
+  void OnPointerOverwrite(uint32_t /*partition*/) override {}
+  void OnCollection(const EstimatorCollectionInfo& info) override {
+    ASSERT_FALSE(log_->selections.empty());
+    log_->feeds.push_back(info);
+    log_->feed_selection.push_back(log_->selections.size() - 1);
+  }
+  std::string name() const override { return "recording"; }
+  void SaveState(SnapshotWriter& /*w*/) const override {}
+  void RestoreState(SnapshotReader& /*r*/) override {}
+
+ private:
+  FeedLog* log_;
+};
+
+// Runs `trace` with the configured selector recorded and a recording
+// passive estimator attached.
+SimResult RunRecorded(const SimConfig& cfg, const Trace& trace,
+                      FeedLog* log) {
+  GarbageEstimator* estimator = nullptr;
+  auto policy = MakePolicy(cfg, &estimator);
+  Simulation sim(cfg, std::move(policy),
+                 std::make_unique<RecordingSelector>(
+                     MakeSelector(cfg.selector, cfg.selector_seed), log),
+                 estimator);
+  RecordingEstimator recorder(log);
+  sim.AddPassiveEstimator(&recorder);
+  return sim.Run(trace);
+}
+
+// Every feed carries the partition chosen just before it and the
+// overwrites() it had then; no choice feeds twice.
+void ExpectFeedsMatchSelections(const FeedLog& log) {
+  size_t with_overwrites = 0;
+  for (size_t i = 0; i < log.feeds.size(); ++i) {
+    const FeedLog::Selection& sel = log.selections[log.feed_selection[i]];
+    EXPECT_EQ(log.feeds[i].partition, sel.partition) << "feed " << i;
+    EXPECT_EQ(log.feeds[i].partition_overwrites, sel.overwrites)
+        << "feed " << i;
+    if (i > 0) {
+      EXPECT_LT(log.feed_selection[i - 1], log.feed_selection[i]);
+    }
+    if (sel.overwrites > 0) ++with_overwrites;
+  }
+  EXPECT_GT(with_overwrites, 0u);
+}
+
+bool Fed(const FeedLog& log, size_t selection) {
+  return std::find(log.feed_selection.begin(), log.feed_selection.end(),
+                   selection) != log.feed_selection.end();
+}
+
+// OO7's four phases with a quiescent window after Reorg1 (odbgc_run's
+// --idle-after-reorg1).
+Trace Oo7WithIdle(uint32_t max_idle_collections) {
+  Oo7Generator gen(Oo7Params::SmallPrime(), /*seed=*/1);
+  Trace t;
+  t.Append(PhaseMarkEvent(Phase::kGenDb));
+  gen.GenDb(&t);
+  t.Append(PhaseMarkEvent(Phase::kReorg1));
+  gen.Reorg1(&t);
+  t.Append(IdleMarkEvent(max_idle_collections));
+  t.Append(PhaseMarkEvent(Phase::kTraverse));
+  gen.Traverse(&t);
+  t.Append(PhaseMarkEvent(Phase::kReorg2));
+  gen.Reorg2(&t);
+  return t;
+}
+
+TEST(SimulationTest, EstimatorFeedCarriesTheSelectionOnEveryPath) {
+  SimConfig cfg;
+  cfg.policy = PolicyKind::kSaga;
+  cfg.saga.opportunism = true;
+  const Trace trace = Oo7WithIdle(300);
+
+  // Scheduled and idle collections: one feed per collection.
+  FeedLog log;
+  SimResult r = RunRecorded(cfg, trace, &log);
+  ASSERT_GT(r.collections, 0u);
+  ASSERT_GT(r.idle_collections, 0u);
+  ASSERT_EQ(log.selections.size(), r.collections + r.idle_collections);
+  EXPECT_EQ(log.feeds.size(), log.selections.size());
+  ExpectFeedsMatchSelections(log);
+  ASSERT_GE(r.phases.size(), 3u);
+  // The n-th selection is the n-th Collect call (no faults), so this is
+  // the first idle collection.
+  const uint64_t first_idle = r.phases[2].at_collection + 1;
+
+  // A crash rolled forward on the first idle collection feeds it.
+  SimConfig crash = cfg;
+  crash.store.fault.crash_point = CrashPoint::kBeforeFlip;
+  crash.store.fault.crash_at_collection = first_idle;
+  log = FeedLog();
+  r = RunRecorded(crash, trace, &log);
+  EXPECT_EQ(r.recovery_rollforwards, 1u);
+  EXPECT_EQ(log.feeds.size(), r.collections + r.idle_collections);
+  EXPECT_TRUE(Fed(log, first_idle - 1));
+  ExpectFeedsMatchSelections(log);
+
+  // A crash rolled back on a scheduled collection feeds nothing.
+  crash.store.fault.crash_point = CrashPoint::kAfterCopy;
+  crash.store.fault.crash_at_collection = first_idle / 2;
+  log = FeedLog();
+  r = RunRecorded(crash, trace, &log);
+  EXPECT_EQ(r.recovery_rollbacks, 1u);
+  EXPECT_EQ(log.feeds.size(), r.collections + r.idle_collections);
+  EXPECT_EQ(log.selections.size(), log.feeds.size() + 1);
+  EXPECT_FALSE(Fed(log, first_idle / 2 - 1));
+  ExpectFeedsMatchSelections(log);
+}
+
+TEST(SimulationTest, EstimatorFeedCarriesTheSelectionOnGovernorBoosts) {
+  // A capped store whose fixed rate never fires: every collection is a
+  // governor boost through the configured selector.
+  SimConfig cfg;
+  cfg.policy = PolicyKind::kFixedRate;
+  cfg.fixed_rate_overwrites = 1000000;
+  cfg.store.max_db_bytes = 1024 * 1024;
+  cfg.governor.enabled = true;
+  UniformChurnOptions churn;
+  churn.cycles = 4000;
+  churn.list_count = 8;
+  churn.target_length = 16;
+  FeedLog log;
+  const SimResult r = RunRecorded(cfg, MakeUniformChurn(churn), &log);
+  EXPECT_EQ(r.collections, 0u);
+  ASSERT_GT(r.governor_boost_collections, 0u);
+  ASSERT_EQ(r.governor_emergency_collections, 0u);  // other selector
+  EXPECT_EQ(log.feeds.size(), r.governor_boost_collections);
+  EXPECT_EQ(log.selections.size(), log.feeds.size());
+  ExpectFeedsMatchSelections(log);
 }
 
 TEST(RunnerTest, RunOo7ManyAggregatesAcrossSeeds) {
