@@ -12,6 +12,7 @@ CoupledIoPolicy::CoupledIoPolicy(const Options& options,
                                  std::unique_ptr<GarbageEstimator> estimator)
     : options_(options),
       estimator_(std::move(estimator)),
+      window_(options.history_size),
       next_app_io_threshold_(options.bootstrap_app_io),
       last_effective_frac_(options.io_frac) {
   ODBGC_CHECK_MSG(options.io_frac > 0.0 && options.io_frac < 1.0,
@@ -28,21 +29,6 @@ bool CoupledIoPolicy::ShouldCollect(const SimClock& clock) {
 
 void CoupledIoPolicy::OnCollection(const CollectionOutcome& outcome,
                                    const SimClock& clock) {
-  const uint64_t period_app_io = clock.app_io - app_io_at_last_collection_;
-  app_io_at_last_collection_ = clock.app_io;
-  const uint64_t curr_gc_io = outcome.gc_io_ops;
-
-  if (options_.history_size > 0) {
-    history_.push_back(PeriodRecord{period_app_io, curr_gc_io});
-    hist_app_io_sum_ += period_app_io;
-    hist_gc_io_sum_ += curr_gc_io;
-    while (history_.size() > options_.history_size) {
-      hist_app_io_sum_ -= history_.front().app_io;
-      hist_gc_io_sum_ -= history_.front().gc_io;
-      history_.pop_front();
-    }
-  }
-
   // Cost-effectiveness: how much garbage does the estimator believe is
   // out there, relative to the reference level that justifies the full
   // budget?
@@ -64,19 +50,15 @@ void CoupledIoPolicy::OnCollection(const CollectionOutcome& outcome,
   f = std::min(f, 0.95);
   last_effective_frac_ = f;
 
-  const double gc_term =
-      static_cast<double>(hist_gc_io_sum_) + static_cast<double>(curr_gc_io);
-  double delta_app_io =
-      gc_term * (1.0 - f) / f - static_cast<double>(hist_app_io_sum_);
-  const bool over_budget = delta_app_io < 1.0;
-  if (over_budget) delta_app_io = 1.0;
-  if (over_budget && reason == obs::DecisionReason::kBudgetSolve) {
+  const SaioWindow::Step step =
+      window_.Solve(clock.app_io, outcome.gc_io_ops, f);
+  if (step.over_budget && reason == obs::DecisionReason::kBudgetSolve) {
     reason = obs::DecisionReason::kOverBudgetFloor;
   }
   next_app_io_threshold_ =
-      clock.app_io + static_cast<uint64_t>(std::llround(delta_app_io));
+      clock.app_io + static_cast<uint64_t>(std::llround(step.delta_app_io));
 
-  ODBGC_IF_TEL(tel_) { RecordDecision(scale, delta_app_io, reason); }
+  ODBGC_IF_TEL(tel_) { RecordDecision(scale, step.delta_app_io, reason); }
 }
 
 void CoupledIoPolicy::RecordDecision(double scale, double delta_app_io,
@@ -96,30 +78,14 @@ void CoupledIoPolicy::RecordDecision(double scale, double delta_app_io,
 }
 
 void CoupledIoPolicy::SaveState(SnapshotWriter& w) const {
-  w.U64(history_.size());
-  for (const PeriodRecord& p : history_) {
-    w.U64(p.app_io);
-    w.U64(p.gc_io);
-  }
-  w.U64(hist_app_io_sum_);
-  w.U64(hist_gc_io_sum_);
-  w.U64(app_io_at_last_collection_);
+  window_.SaveState(w);
   w.U64(next_app_io_threshold_);
   w.F64(last_effective_frac_);
   estimator_->SaveState(w);
 }
 
 void CoupledIoPolicy::RestoreState(SnapshotReader& r) {
-  const uint64_t n = r.U64();
-  history_.clear();
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    const uint64_t app_io = r.U64();
-    const uint64_t gc_io = r.U64();
-    history_.push_back(PeriodRecord{app_io, gc_io});
-  }
-  hist_app_io_sum_ = r.U64();
-  hist_gc_io_sum_ = r.U64();
-  app_io_at_last_collection_ = r.U64();
+  window_.RestoreState(r);
   next_app_io_threshold_ = r.U64();
   last_effective_frac_ = r.F64();
   estimator_->RestoreState(r);

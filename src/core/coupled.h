@@ -2,11 +2,11 @@
 #define ODBGC_CORE_COUPLED_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "core/estimator.h"
 #include "core/rate_policy.h"
+#include "core/saio.h"
 
 namespace odbgc {
 
@@ -70,15 +70,7 @@ class CoupledIoPolicy : public RatePolicy {
   Options options_;
   std::unique_ptr<GarbageEstimator> estimator_;
 
-  // SAIO-style history window over (period app I/O, collection GC I/O).
-  struct PeriodRecord {
-    uint64_t app_io;
-    uint64_t gc_io;
-  };
-  std::deque<PeriodRecord> history_;
-  uint64_t hist_app_io_sum_ = 0;
-  uint64_t hist_gc_io_sum_ = 0;
-  uint64_t app_io_at_last_collection_ = 0;
+  SaioWindow window_;
   uint64_t next_app_io_threshold_;
   double last_effective_frac_;
 };

@@ -23,6 +23,43 @@ namespace odbgc {
 // under the assumption Delta_GCIO ~= CurrGCIO (successive collections
 // cost about the same I/O). With c_hist = 0 this reduces to
 // Delta_AppIO = CurrGCIO * (1 - f) / f.
+//
+// SaioWindow keeps the window of (period application I/O, collection GC
+// I/O) and solves the equation; SaioPolicy and CoupledIoPolicy
+// (core/coupled.h) each hold one.
+class SaioWindow {
+ public:
+  explicit SaioWindow(size_t history_size) : history_size_(history_size) {}
+
+  // Closes the period of the collection that just finished at
+  // application I/O `app_io`, costing `gc_io`, and solves for the next
+  // interval at GC share `io_frac`. An over-budget window floors the
+  // interval at one application I/O, the soonest a policy can act.
+  struct Step {
+    uint64_t period_app_io;  // application I/O since the last collection
+    double delta_app_io;     // the solved interval, at least 1
+    bool over_budget;        // the floor applied
+  };
+  Step Solve(uint64_t app_io, uint64_t gc_io, double io_frac);
+
+  size_t history_size() const { return history_size_; }
+
+  void SaveState(SnapshotWriter& w) const;
+  void RestoreState(SnapshotReader& r);
+
+ private:
+  struct PeriodRecord {
+    uint64_t app_io;  // application I/O during the period before a GC
+    uint64_t gc_io;   // that GC's I/O
+  };
+
+  size_t history_size_;
+  std::deque<PeriodRecord> history_;
+  uint64_t hist_app_io_sum_ = 0;
+  uint64_t hist_gc_io_sum_ = 0;
+  uint64_t app_io_at_last_collection_ = 0;
+};
+
 class SaioPolicy : public RatePolicy {
  public:
   static constexpr size_t kInfiniteHistory =
@@ -58,8 +95,6 @@ class SaioPolicy : public RatePolicy {
     if (io_frac > 0.0 && io_frac < 1.0) io_frac_ = io_frac;
   }
 
-  double io_frac() const { return io_frac_; }
-  size_t history_size() const { return history_size_; }
   uint64_t next_app_io_threshold() const { return next_app_io_threshold_; }
   uint64_t last_delta_app_io() const { return last_delta_app_io_; }
 
@@ -67,22 +102,13 @@ class SaioPolicy : public RatePolicy {
   void RestoreState(SnapshotReader& r) override;
 
  private:
-  struct PeriodRecord {
-    uint64_t app_io;  // application I/O during the period before a GC
-    uint64_t gc_io;   // that GC's I/O
-  };
-
   // Out of line so OnCollection's hot path pays only a predicted-not-
   // taken branch, not the trace-argument stack frame.
   void RecordDecision(uint64_t period_app_io, uint64_t curr_gc_io,
                       bool over_budget);
 
   double io_frac_;
-  size_t history_size_;
-  std::deque<PeriodRecord> history_;
-  uint64_t hist_app_io_sum_ = 0;
-  uint64_t hist_gc_io_sum_ = 0;
-  uint64_t app_io_at_last_collection_ = 0;
+  SaioWindow window_;
   uint64_t next_app_io_threshold_;
   uint64_t last_delta_app_io_ = 0;
 
