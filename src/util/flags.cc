@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace odbgc {
@@ -43,14 +44,26 @@ int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
   read_[key] = true;
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const int64_t value = std::strtoll(text, &end, 10);
+  if (end != text && *end == '\0' && errno != ERANGE) return value;
+  malformed_.insert(key);
+  return default_value;
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
   read_[key] = true;
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  return std::strtod(it->second.c_str(), nullptr);
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end != text && *end == '\0' && errno != ERANGE) return value;
+  malformed_.insert(key);
+  return default_value;
 }
 
 bool Flags::GetBool(const std::string& key, bool default_value) const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,8 @@ class Flags {
   bool Has(const std::string& key) const;
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
+  // A value that does not parse in full (`abc`, `1e3` as an integer)
+  // yields `default_value` and is recorded in MalformedKeys().
   int64_t GetInt(const std::string& key, int64_t default_value) const;
   double GetDouble(const std::string& key, double default_value) const;
   bool GetBool(const std::string& key, bool default_value) const;
@@ -27,10 +30,13 @@ class Flags {
 
   // Keys that were provided but never read — catches typos in tools.
   std::vector<std::string> UnusedKeys() const;
+  // Keys read as numbers whose value did not parse in full.
+  const std::set<std::string>& MalformedKeys() const { return malformed_; }
 
  private:
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> read_;
+  mutable std::set<std::string> malformed_;
   std::vector<std::string> positional_;
 };
 

@@ -1,4 +1,6 @@
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -76,6 +78,45 @@ TEST(FlagsTest, UnusedKeysDetected) {
   std::vector<std::string> unused = f.UnusedKeys();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
+}
+
+TEST(FlagsTest, MalformedNumbersFallBackToDefaultAndAreRecorded) {
+  Flags f = ParseOk({"--seed=abc", "--cycles=1e3", "--frac=0.5x",
+                     "--big=99999999999999999999", "--neg=-7", "--exp=1e3",
+                     "--empty="});
+  EXPECT_EQ(f.GetInt("seed", 1), 1);
+  EXPECT_EQ(f.GetInt("cycles", 20), 20);
+  EXPECT_DOUBLE_EQ(f.GetDouble("frac", 0.1), 0.1);
+  EXPECT_EQ(f.GetInt("big", 5), 5);
+  EXPECT_EQ(f.GetInt("neg", 0), -7);
+  EXPECT_DOUBLE_EQ(f.GetDouble("exp", 0.0), 1000.0);
+  EXPECT_EQ(f.GetInt("empty", 3), 3);
+  EXPECT_EQ(f.MalformedKeys(), (std::set<std::string>{"big", "cycles", "empty",
+                                                      "frac", "seed"}));
+  EXPECT_TRUE(f.UnusedKeys().empty());
+}
+
+TEST(ToolCommonTest, CheckNoUnusedFlagsNamesMalformedValues) {
+  // odbgc_run exits 2 on this check before it builds a simulation, so a
+  // malformed value can neither run as 0 nor trip a constructor CHECK.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--policy=saga", "--seed=abc"},
+      {"--policy=saga", "--saga-frac=abc"},
+      {"--policy=saio", "--hist=abc"}};
+  for (const auto& [policy, arg] : cases) {
+    SimConfig cfg;
+    std::string error;
+    Flags f = ParseOk({policy, arg});
+    ASSERT_TRUE(tools::BuildSimConfig(f, &cfg, &error)) << error;
+    EXPECT_FALSE(tools::CheckNoUnusedFlags(f, &error)) << arg;
+    EXPECT_NE(error.find(arg), std::string::npos) << error;
+  }
+  Flags ok = ParseOk({"--policy=saio", "--hist=4", "--seed=3"});
+  SimConfig cfg;
+  std::string error;
+  ASSERT_TRUE(tools::BuildSimConfig(ok, &cfg, &error)) << error;
+  EXPECT_EQ(cfg.saio_history, 4u);
+  EXPECT_TRUE(tools::CheckNoUnusedFlags(ok, &error)) << error;
 }
 
 TEST(ToolCommonTest, BuildOo7ParamsPresets) {

@@ -323,6 +323,11 @@ int main(int argc, char** argv) {
         "                     [--io-target=PCT --garbage-target=PCT]\n");
     return help ? 0 : 2;
   }
+  for (const std::string& key : flags.MalformedKeys()) {
+    std::fprintf(stderr, "error: malformed value --%s=%s\n", key.c_str(),
+                 flags.GetString(key, "").c_str());
+    return 2;
+  }
   for (const std::string& key : flags.UnusedKeys()) {
     std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
     return 2;

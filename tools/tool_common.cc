@@ -150,10 +150,10 @@ bool BuildSimConfig(const Flags& flags, SimConfig* config,
   } else if (policy == "saio") {
     config->policy = PolicyKind::kSaio;
     config->saio_frac = flags.GetDouble("saio-frac", 0.10);
-    std::string hist = flags.GetString("hist", "0");
-    config->saio_history = hist == "inf"
-                               ? SaioPolicy::kInfiniteHistory
-                               : static_cast<size_t>(std::stoll(hist));
+    config->saio_history =
+        flags.GetString("hist", "0") == "inf"
+            ? SaioPolicy::kInfiniteHistory
+            : static_cast<size_t>(flags.GetInt("hist", 0));
     config->saio_opportunism = flags.GetBool("opportunism", false);
   } else if (policy == "saga") {
     config->policy = PolicyKind::kSaga;
@@ -302,6 +302,13 @@ Capacity & overload governor:
 }
 
 bool CheckNoUnusedFlags(const Flags& flags, std::string* error) {
+  if (!flags.MalformedKeys().empty()) {
+    *error = "malformed value(s):";
+    for (const std::string& k : flags.MalformedKeys()) {
+      *error += " --" + k + "=" + flags.GetString(k, "");
+    }
+    return false;
+  }
   std::vector<std::string> unused = flags.UnusedKeys();
   if (unused.empty()) return true;
   *error = "unknown flag(s):";

@@ -55,7 +55,8 @@ bool BuildSimConfig(const Flags& flags, SimConfig* config,
 // Prints the flag vocabulary (used by every tool's --help).
 void PrintCommonUsage();
 
-// Reports flags that were never consumed; returns false if any.
+// Reports flags that were never consumed, or whose numeric value did not
+// parse in full; returns false if any.
 bool CheckNoUnusedFlags(const Flags& flags, std::string* error);
 
 }  // namespace odbgc::tools
