@@ -6,7 +6,10 @@
 # loader corpora, which is where a reader bug would touch memory it
 # should not), the checkpoint codecs, the report encoder, the overload
 # governor, and the fleet engine, whose pool tasks must never outlive
-# the frame that started them, even when Run() unwinds.
+# the frame that started them, even when Run() unwinds. Then it runs a
+# short chaos soak and recovery fuzz on the sanitized odbgc_run: those
+# scripts are the only end-to-end drivers of the collector's crash and
+# corrupt-abort branches.
 # Usage: tools/check_asan.sh [build-dir]
 set -euo pipefail
 
@@ -20,10 +23,16 @@ TESTS=(fault_injection_test self_healing_test recovery_test buffer_pool_test
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DODBGC_SANITIZE=address
-cmake --build "$BUILD_DIR" --target "${TESTS[@]}" -j "$(nproc)"
+cmake --build "$BUILD_DIR" --target "${TESTS[@]}" odbgc_run -j "$(nproc)"
 
 for t in "${TESTS[@]}"; do
   echo "== ${t} under address + undefined-behavior sanitizers =="
   "$BUILD_DIR/tests/$t"
 done
+
+echo "== check_soak.sh under address + undefined-behavior sanitizers =="
+ODBGC_SOAK_SEEDS=8 ODBGC_SOAK_CRASHES=2 ODBGC_SOAK_OVERLOAD_SEEDS=4 \
+  ODBGC_SOAK_OVERLOAD_CRASHES=2 tools/check_soak.sh "$BUILD_DIR"
+echo "== check_recovery.sh under address + undefined-behavior sanitizers =="
+ODBGC_RECOVERY_KILLS=10 tools/check_recovery.sh "$BUILD_DIR"
 echo "OK: no address or undefined-behavior sanitizer reports"
