@@ -14,10 +14,12 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "oo7/generator.h"
+#include "sim/checkpoint.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
 #include "storage/buffer_pool.h"
@@ -445,6 +447,135 @@ TEST(GoldenOutputTest, CollectionPathsAreByteIdentical) {
     out += line;
   }
   CheckAgainstGolden("collection_paths.jsonl", out);
+}
+
+// --- The checkpoint config fingerprint ---
+//
+// One line per config: the default, then one single-member perturbation
+// of each fingerprinted knob in write order, then one of each member the
+// fingerprint skips on purpose. A checkpoint written before a change must
+// resume after it, so every line must survive refactors of the config
+// structs; a reordered knob moves its line even where the default's hash
+// cannot see it (two knobs with equal defaults swapped).
+
+struct ConfigPerturbation {
+  const char* name;
+  void (*apply)(SimConfig&);
+};
+
+#define ODBGC_PERTURB(member, value) \
+  {#member, [](SimConfig& c) { c.member = value; }}
+
+const ConfigPerturbation kFingerprintedKnobs[] = {
+    ODBGC_PERTURB(store.partition_bytes, 32 * 1024),
+    ODBGC_PERTURB(store.page_bytes, 4 * 1024),
+    ODBGC_PERTURB(store.buffer_pages, 8),
+    ODBGC_PERTURB(store.max_db_bytes, 1 << 20),
+    ODBGC_PERTURB(store.pin_newest_allocation, false),
+    ODBGC_PERTURB(store.enable_disk_timing, true),
+    ODBGC_PERTURB(store.disk.seek_ms, 9.0),
+    ODBGC_PERTURB(store.disk.rotational_ms, 5.0),
+    ODBGC_PERTURB(store.disk.transfer_mb_per_s, 20.0),
+    ODBGC_PERTURB(store.fault.read_fault_prob, 0.01),
+    ODBGC_PERTURB(store.fault.write_fault_prob, 0.01),
+    ODBGC_PERTURB(store.fault.torn_write_prob, 0.01),
+    ODBGC_PERTURB(store.fault.bitflip_prob, 0.01),
+    ODBGC_PERTURB(store.fault.decay_prob, 0.01),
+    ODBGC_PERTURB(store.fault.decay_latency, 32),
+    ODBGC_PERTURB(store.fault.dead_page_prob, 0.01),
+    ODBGC_PERTURB(store.fault.dead_partition_prob, 0.2),
+    ODBGC_PERTURB(store.fault.max_retries, 5),
+    ODBGC_PERTURB(store.fault.retry_backoff_ms, 1.0),
+    ODBGC_PERTURB(store.fault.commit_protocol, true),
+    ODBGC_PERTURB(preamble_collections, 5),
+    ODBGC_PERTURB(preamble_max_collections, 40),
+    ODBGC_PERTURB(record_collection_log, false),
+    ODBGC_PERTURB(policy, PolicyKind::kSaio),
+    ODBGC_PERTURB(fixed_rate_overwrites, 100),
+    ODBGC_PERTURB(allocation_rate_bytes, 64 * 1024),
+    ODBGC_PERTURB(heuristic_connectivity, 3.0),
+    ODBGC_PERTURB(heuristic_object_bytes, 100.0),
+    ODBGC_PERTURB(saio_frac, 0.2),
+    ODBGC_PERTURB(saio_history, 5),
+    ODBGC_PERTURB(saio_bootstrap_app_io, 1000),
+    ODBGC_PERTURB(saio_opportunism, true),
+    ODBGC_PERTURB(saio_min_idle_yield, 2048),
+    ODBGC_PERTURB(saga.garbage_frac, 0.2),
+    ODBGC_PERTURB(saga.slope_weight, 0.2),
+    ODBGC_PERTURB(saga.dt_min, 3),
+    ODBGC_PERTURB(saga.dt_max, 500),
+    ODBGC_PERTURB(saga.bootstrap_overwrites, 500),
+    ODBGC_PERTURB(saga.opportunism, true),
+    ODBGC_PERTURB(saga.idle_floor_frac, 0.02),
+    ODBGC_PERTURB(estimator, EstimatorKind::kOracle),
+    ODBGC_PERTURB(fgs_history_factor, 0.5),
+    ODBGC_PERTURB(coupled.io_frac, 0.2),
+    ODBGC_PERTURB(coupled.garbage_ref_frac, 0.2),
+    ODBGC_PERTURB(coupled.min_scale, 0.5),
+    ODBGC_PERTURB(coupled.max_scale, 2.0),
+    ODBGC_PERTURB(coupled.history_size, 5),
+    ODBGC_PERTURB(coupled.bootstrap_app_io, 1000),
+    ODBGC_PERTURB(selector, SelectorKind::kRandom),
+    ODBGC_PERTURB(verify_after_collection, true),
+    ODBGC_PERTURB(verify_after_recovery, false),
+    ODBGC_PERTURB(verify_reachability, true),
+    ODBGC_PERTURB(scrub_interval_events, 64),
+    ODBGC_PERTURB(scrub_pages_per_quantum, 16),
+    ODBGC_PERTURB(auto_repair, false),
+    ODBGC_PERTURB(verify_after_repair, false),
+    ODBGC_PERTURB(governor.enabled, true),
+    ODBGC_PERTURB(governor.yellow_frac, 0.6),
+    ODBGC_PERTURB(governor.red_frac, 0.9),
+    ODBGC_PERTURB(governor.hysteresis_frac, 0.1),
+    ODBGC_PERTURB(governor.check_interval_events, 32),
+    ODBGC_PERTURB(governor.boost_interval_overwrites, 256),
+    ODBGC_PERTURB(governor.io_saturation_frac, 0.6),
+    ODBGC_PERTURB(governor.emergency_max_collections, 8),
+    ODBGC_PERTURB(governor.safe_mode_divergence_frac, 0.3),
+    ODBGC_PERTURB(governor.safe_mode_divergence_count, 5),
+    ODBGC_PERTURB(governor.safe_mode_flip_frac, 0.6),
+    ODBGC_PERTURB(governor.safe_mode_window, 16),
+    ODBGC_PERTURB(governor.safe_mode_exit_clean, 8),
+    ODBGC_PERTURB(governor.safe_mode_fixed_interval, 128),
+};
+
+const ConfigPerturbation kUnfingerprintedMembers[] = {
+    ODBGC_PERTURB(store.fault.seed, 77),
+    ODBGC_PERTURB(store.fault.crash_point, CrashPoint::kBeforeFlip),
+    ODBGC_PERTURB(store.fault.crash_at_collection, 3),
+    ODBGC_PERTURB(store.fault.crash_at_event, 1234),
+    ODBGC_PERTURB(selector_seed, 99),
+    ODBGC_PERTURB(deadline_ms, 5000.0),
+    ODBGC_PERTURB(telemetry.enabled, true),
+};
+
+#undef ODBGC_PERTURB
+
+TEST(GoldenOutputTest, ConfigFingerprintsAreStable) {
+  EXPECT_EQ(std::size(kFingerprintedKnobs), 70u);
+  const uint64_t base = ConfigFingerprint(SimConfig());
+  auto line = [](const char* name, uint64_t fp) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s %016" PRIx64, name, fp);
+    return std::string(buf);
+  };
+  auto perturbed = [](const ConfigPerturbation& p) {
+    SimConfig c;
+    p.apply(c);
+    return ConfigFingerprint(c);
+  };
+  std::string out = line("default", base);
+  for (const ConfigPerturbation& p : kFingerprintedKnobs) {
+    const uint64_t fp = perturbed(p);
+    EXPECT_NE(fp, base) << p.name << " is not fingerprinted";
+    out += "\n" + line(p.name, fp);
+  }
+  for (const ConfigPerturbation& p : kUnfingerprintedMembers) {
+    const uint64_t fp = perturbed(p);
+    EXPECT_EQ(fp, base) << p.name << " is fingerprinted";
+    out += "\n" + line(p.name, fp);
+  }
+  CheckAgainstGolden("config_fingerprints.txt", out);
 }
 
 }  // namespace
