@@ -7,8 +7,18 @@
 #include "core/estimator.h"
 #include "core/rate_policy.h"
 #include "core/saio.h"
+#include "util/fields.h"
 
 namespace odbgc {
+
+// CoupledIoPolicy::Options, one row per knob (util/fields.h).
+#define ODBGC_COUPLED_OPTIONS_FIELDS(X)                               \
+  X(double, io_frac, 0.10) /* the I/O budget (SAIO_Frac) */           \
+  X(double, garbage_ref_frac, 0.10) /* garbage level justifying it */ \
+  X(double, min_scale, 0.25) /* never drop below 1/4 of the budget */ \
+  X(double, max_scale, 1.5) /* may exceed the budget by up to 50% */  \
+  X(size_t, history_size, 0) /* SAIO's c_hist */                      \
+  X(uint64_t, bootstrap_app_io, 2000)
 
 // The coupled policy sketched in the paper's Section 5: "the SAIO policy
 // could use information provided by the SAGA heuristics to determine the
@@ -30,12 +40,7 @@ namespace odbgc {
 class CoupledIoPolicy : public RatePolicy {
  public:
   struct Options {
-    double io_frac = 0.10;          // the I/O budget (SAIO_Frac)
-    double garbage_ref_frac = 0.10; // garbage level justifying the budget
-    double min_scale = 0.25;        // never drop below 1/4 of the budget
-    double max_scale = 1.5;         // may exceed the budget by up to 50%
-    size_t history_size = 0;        // SAIO's c_hist
-    uint64_t bootstrap_app_io = 2000;
+    ODBGC_FIELD_TABLE(ODBGC_COUPLED_OPTIONS_FIELDS)
   };
 
   CoupledIoPolicy(const Options& options,

@@ -6,8 +6,23 @@
 
 #include "core/estimator.h"
 #include "core/rate_policy.h"
+#include "util/fields.h"
 
 namespace odbgc {
+
+// SagaPolicy::Options, one row per knob (util/fields.h).
+#define ODBGC_SAGA_OPTIONS_FIELDS(X)                                     \
+  X(double, garbage_frac, 0.10) /* SAGA_Frac */                          \
+  X(double, slope_weight, 0.7) /* the paper's Weight */                  \
+  X(uint64_t, dt_min, 2) /* overwrites */                                \
+  X(uint64_t, dt_max, 1000) /* overwrites */                             \
+  X(uint64_t, bootstrap_overwrites, 1000) /* first collection trigger */ \
+  /* Quiescence extension (Section 5): when the host reports an idle     \
+     workload, collect below the user's stated limit, down to            \
+     idle_floor_frac of the database. Disabled by default (the base      \
+     paper's behavior). */                                               \
+  X(bool, opportunism, false)                                            \
+  X(double, idle_floor_frac, 0.05)
 
 // SAGA — the Semi-Automatic GArbage policy (Section 2.3).
 //
@@ -28,17 +43,7 @@ namespace odbgc {
 class SagaPolicy : public RatePolicy {
  public:
   struct Options {
-    double garbage_frac = 0.10;   // SAGA_Frac
-    double slope_weight = 0.7;    // the paper's Weight
-    uint64_t dt_min = 2;          // overwrites
-    uint64_t dt_max = 1000;       // overwrites
-    uint64_t bootstrap_overwrites = 1000;  // first collection trigger
-    // Quiescence extension (Section 5): when the host reports an idle
-    // workload, collect below the user's stated limit, down to
-    // idle_floor_frac of the database. Disabled by default (the base
-    // paper's behavior).
-    bool opportunism = false;
-    double idle_floor_frac = 0.05;
+    ODBGC_FIELD_TABLE(ODBGC_SAGA_OPTIONS_FIELDS)
   };
 
   SagaPolicy(const Options& options,

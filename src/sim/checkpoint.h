@@ -68,13 +68,14 @@ const char* CheckpointErrorName(CheckpointError error);
 inline constexpr uint32_t kCheckpointVersion = 6;
 inline constexpr uint32_t kCheckpointFooterMagic = 0x54504b43;  // "CKPT"
 
-// Hash of the configuration fields that determine simulation behavior.
-// Deliberately EXCLUDED, so that a resumed run may drop them: the crash
-// schedule (crash_point / crash_at_collection / crash_at_event), the
-// fault and selector seeds (the live RNG states travel in the payload),
-// the wall-clock deadline, and telemetry options (telemetry state in the
-// payload is restored when the resuming config enables telemetry, and
-// skipped — without failing — when it does not).
+// FNV-1a hash of every row of SimConfig's field table and of the tables
+// it nests (sim/config.h), in row order. Excluded are exactly the
+// members declared after those tables, so that a resumed run may change
+// them: the crash schedule (crash_point / crash_at_collection /
+// crash_at_event), the fault and selector seeds (the live RNG states
+// travel in the payload), the wall-clock deadline, and telemetry options
+// (telemetry state in the payload is restored when the resuming config
+// enables telemetry, and skipped — without failing — when it does not).
 uint64_t ConfigFingerprint(const SimConfig& config);
 
 // Serializes `sim` and writes it to `path` atomically (see layout above).

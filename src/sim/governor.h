@@ -13,59 +13,57 @@ namespace odbgc {
 // Overload-protection knobs (SimConfig::governor). Default-disabled; an
 // enabled governor with a store that never leaves the normal band is
 // byte-identical to a disabled one (the governor only observes).
+#define ODBGC_GOVERNOR_CONFIG_FIELDS(X)                                  \
+  X(bool, enabled, false)                                                \
+  /* Utilization watermarks: fraction of StoreConfig::max_db_bytes       \
+     occupied by live + uncollected-garbage bytes. Uncapped stores       \
+     (max_db_bytes == 0) report utilization 0, so only the safe-mode     \
+     machinery is live for them. */                                      \
+  X(double, yellow_frac, 0.70)                                           \
+  X(double, red_frac, 0.85)                                              \
+  /* De-escalation hysteresis: a level is left only after utilization    \
+     drops this far below its entry watermark, so jitter around a        \
+     watermark cannot flap the state machine. */                         \
+  X(double, hysteresis_frac, 0.05)                                       \
+  /* Events between governor evaluations (pressure is a slow signal; the \
+     tick keeps the steady-state cost at one modulo per event). */       \
+  X(uint32_t, check_interval_events, 64)                                 \
+  /* Yellow actuator: rate boost — force a collection through the        \
+     configured selector every `boost_interval_overwrites` pointer       \
+     overwrites, on top of whatever the active policy schedules. Skipped \
+     while the recent GC share of I/O exceeds `io_saturation_frac` (the  \
+     disk is already collection-bound; more GC I/O would only deepen     \
+     application stalls — red-level emergency collection ignores this,   \
+     space being existential). */                                        \
+  X(uint64_t, boost_interval_overwrites, 128)                            \
+  X(double, io_saturation_frac, 0.50)                                    \
+  /* Red actuator: per tick, synchronously collect up to this many of    \
+     the highest-garbage partitions (oracle selection) until utilization \
+     falls back below red_frac - hysteresis_frac. */                     \
+  X(uint32_t, emergency_max_collections, 4)                              \
+  /* Safe-mode triggers. Estimator/oracle divergence is measured per     \
+     policy-driven collection as |estimate - actual| / used_bytes; a     \
+     breach sustained for `safe_mode_divergence_count` consecutive       \
+     collections enters safe mode. Independently, the flip fraction of   \
+     the inter-collection interval series (the decision-ledger           \
+     oscillation signal, recomputed here so it works with telemetry off) \
+     over the last `safe_mode_window` collections entering at            \
+     `safe_mode_flip_frac` means the controller is oscillating, not      \
+     converging. */                                                      \
+  X(double, safe_mode_divergence_frac, 0.25)                             \
+  X(uint32_t, safe_mode_divergence_count, 3)                             \
+  X(double, safe_mode_flip_frac, 0.75)                                   \
+  X(uint32_t, safe_mode_window, 8)                                       \
+  /* Hysteresis-gated re-entry: this many consecutive healthy            \
+     collections (no divergence breach, no oscillating window) before    \
+     control returns to the configured policy. */                        \
+  X(uint32_t, safe_mode_exit_clean, 16)                                  \
+  /* The conservative fixed-rate fallback: overwrites per collection     \
+     while safe mode holds. */                                           \
+  X(uint64_t, safe_mode_fixed_interval, 64)
+
 struct GovernorConfig {
-  bool enabled = false;
-
-  // Utilization watermarks: fraction of StoreConfig::max_db_bytes
-  // occupied by live + uncollected-garbage bytes. Uncapped stores
-  // (max_db_bytes == 0) report utilization 0, so only the safe-mode
-  // machinery is live for them.
-  double yellow_frac = 0.70;
-  double red_frac = 0.85;
-  // De-escalation hysteresis: a level is left only after utilization
-  // drops this far below its entry watermark, so jitter around a
-  // watermark cannot flap the state machine.
-  double hysteresis_frac = 0.05;
-
-  // Events between governor evaluations (pressure is a slow signal; the
-  // tick keeps the steady-state cost at one modulo per event).
-  uint32_t check_interval_events = 64;
-
-  // Yellow actuator: rate boost — force a collection through the
-  // configured selector every `boost_interval_overwrites` pointer
-  // overwrites, on top of whatever the active policy schedules. Skipped
-  // while the recent GC share of I/O exceeds `io_saturation_frac` (the
-  // disk is already collection-bound; more GC I/O would only deepen
-  // application stalls — red-level emergency collection ignores this,
-  // space being existential).
-  uint64_t boost_interval_overwrites = 128;
-  double io_saturation_frac = 0.50;
-
-  // Red actuator: per tick, synchronously collect up to this many of
-  // the highest-garbage partitions (oracle selection) until utilization
-  // falls back below red_frac - hysteresis_frac.
-  uint32_t emergency_max_collections = 4;
-
-  // Safe-mode triggers. Estimator/oracle divergence is measured per
-  // policy-driven collection as |estimate - actual| / used_bytes; a
-  // breach sustained for `safe_mode_divergence_count` consecutive
-  // collections enters safe mode. Independently, the flip fraction of
-  // the inter-collection interval series (the decision-ledger
-  // oscillation signal, recomputed here so it works with telemetry off)
-  // over the last `safe_mode_window` collections entering at
-  // `safe_mode_flip_frac` means the controller is oscillating, not
-  // converging.
-  double safe_mode_divergence_frac = 0.25;
-  uint32_t safe_mode_divergence_count = 3;
-  double safe_mode_flip_frac = 0.75;
-  uint32_t safe_mode_window = 8;
-  // Hysteresis-gated re-entry: this many consecutive healthy
-  // collections (no divergence breach, no oscillating window) before
-  // control returns to the configured policy.
-  uint32_t safe_mode_exit_clean = 16;
-  // The conservative fixed-rate fallback: overwrites per collection
-  // while safe mode holds.
-  uint64_t safe_mode_fixed_interval = 64;
+  ODBGC_FIELD_TABLE(ODBGC_GOVERNOR_CONFIG_FIELDS)
 };
 
 enum class PressureLevel : uint8_t { kNormal = 0, kYellow = 1, kRed = 2 };

@@ -11,10 +11,13 @@ namespace odbgc {
 // Physical parameters of the simulated disk. Defaults approximate a
 // mid-1990s SCSI drive, the hardware class of the paper's era: ~8 ms
 // average seek, ~4 ms half-rotation, ~10 MB/s media transfer.
+#define ODBGC_DISK_PARAMS_FIELDS(X) \
+  X(double, seek_ms, 8.0)           \
+  X(double, rotational_ms, 4.0)     \
+  X(double, transfer_mb_per_s, 10.0)
+
 struct DiskParams {
-  double seek_ms = 8.0;
-  double rotational_ms = 4.0;
-  double transfer_mb_per_s = 10.0;
+  ODBGC_FIELD_TABLE(ODBGC_DISK_PARAMS_FIELDS)
 };
 
 // Service-time model for page transfers. The paper evaluates policies by

@@ -39,41 +39,55 @@ struct EnumTraits<CrashPoint> {
 // same fault sequence (at any --threads; runner.h's ApplyRunSeeds mixes
 // the per-run seed in). All knobs default to "no faults": a default plan
 // leaves behavior and output byte-identical to a build without it.
+#define ODBGC_FAULT_PLAN_FIELDS(X)                                        \
+  /* Per-attempt probability that a page read / write transfer fails      \
+     transiently. A failed attempt is retried (with backoff) up to        \
+     max_retries times; if every attempt fails the error is permanent. */ \
+  X(double, read_fault_prob, 0.0)                                         \
+  X(double, write_fault_prob, 0.0)                                        \
+  /* Probability that a completed write leaves the page torn. A torn      \
+     page is detected on its next read and repaired by a rewrite. */      \
+  X(double, torn_write_prob, 0.0)                                         \
+  /* Probability that a completed write silently flips bits in the        \
+     stored page image. Nothing is reported at write time; the per-page   \
+     checksum catches the mismatch on the next media read (demand miss    \
+     or scrub). */                                                        \
+  X(double, bitflip_prob, 0.0)                                            \
+  /* Latent media decay: probability that a completed write leaves the    \
+     page on a weak sector that rots after decay_latency further          \
+     physical transfers (to any page). Like a bit-flip, the rot is only   \
+     observable as a checksum mismatch once the page is next read from    \
+     media. */                                                            \
+  X(double, decay_prob, 0.0)                                              \
+  X(uint32_t, decay_latency, 64)                                          \
+  /* Permanent device faults: probability that a completed write kills    \
+     the page's physical location for good (every later transfer fails    \
+     without retry), and — given a dead page — the conditional            \
+     probability that the whole partition's device dies with it. Dead     \
+     locations stay dead until repair remaps them (HealPage /             \
+     HealPartition). */                                                   \
+  X(double, dead_page_prob, 0.0)                                          \
+  X(double, dead_partition_prob, 0.0)                                     \
+  X(uint32_t, max_retries, 3)                                             \
+  /* Base backoff charged to the disk-time model before the first         \
+     retry; doubles per subsequent retry. Ignored unless disk timing is   \
+     enabled. */                                                          \
+  X(double, retry_backoff_ms, 0.5)                                        \
+  /* Run the durable commit protocol (to-space flush + commit-record      \
+     write-through) on every collection, not only the crashed one.        \
+     Costs extra GC writes; required for crash consistency in faulted     \
+     runs. */                                                             \
+  X(bool, commit_protocol, false)
+
 struct FaultPlan {
+  ODBGC_FIELD_TABLE(ODBGC_FAULT_PLAN_FIELDS)
+
+  // Not fingerprinted: a resumed run restores the live RNG state from
+  // its checkpoint and drops the crash schedule that killed it.
+  //
   // Mixed with the run seed by ApplyRunSeeds; used raw when a store is
   // constructed directly (unit fixtures).
   uint64_t seed = 0;
-
-  // Per-attempt probability that a page read / write transfer fails
-  // transiently. A failed attempt is retried (with backoff) up to
-  // max_retries times; if every attempt fails the error is permanent.
-  double read_fault_prob = 0.0;
-  double write_fault_prob = 0.0;
-  // Probability that a completed write leaves the page torn. A torn page
-  // is detected on its next read and repaired by a rewrite.
-  double torn_write_prob = 0.0;
-  // Probability that a completed write silently flips bits in the stored
-  // page image. Nothing is reported at write time; the per-page checksum
-  // catches the mismatch on the next media read (demand miss or scrub).
-  double bitflip_prob = 0.0;
-  // Latent media decay: probability that a completed write leaves the
-  // page on a weak sector that rots after decay_latency further physical
-  // transfers (to any page). Like a bit-flip, the rot is only observable
-  // as a checksum mismatch once the page is next read from media.
-  double decay_prob = 0.0;
-  uint32_t decay_latency = 64;
-  // Permanent device faults: probability that a completed write kills the
-  // page's physical location for good (every later transfer fails without
-  // retry), and — given a dead page — the conditional probability that the
-  // whole partition's device dies with it. Dead locations stay dead until
-  // repair remaps them (HealPage / HealPartition).
-  double dead_page_prob = 0.0;
-  double dead_partition_prob = 0.0;
-  uint32_t max_retries = 3;
-  // Base backoff charged to the disk-time model before the first retry;
-  // doubles per subsequent retry. Ignored unless disk timing is enabled.
-  double retry_backoff_ms = 0.5;
-
   // Single-shot crash schedule: the crash_at_collection-th call of
   // Collector::Collect (1-based) stops at crash_point; the simulation
   // then runs recovery. kNone disables.
@@ -85,10 +99,6 @@ struct FaultPlan {
   // the run aborts with SimCrashInjected and is expected to be resumed
   // from its last checkpoint (sim/checkpoint.h).
   uint64_t crash_at_event = 0;
-  // Run the durable commit protocol (to-space flush + commit-record
-  // write-through) on every collection, not only the crashed one. Costs
-  // extra GC writes; required for crash consistency in faulted runs.
-  bool commit_protocol = false;
 
   bool io_faults_enabled() const {
     return read_fault_prob > 0.0 || write_fault_prob > 0.0 ||

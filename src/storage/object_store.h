@@ -71,30 +71,34 @@ struct ObjectRecord {
   uint32_t xpart_in_refs = 0;
 };
 
+#define ODBGC_STORE_CONFIG_FIELDS(X)                                      \
+  X(uint32_t, partition_bytes, 96 * 1024)                                 \
+  X(uint32_t, page_bytes, 8 * 1024)                                       \
+  X(uint32_t, buffer_pages, 12) /* buffer == partition size (Sec. 3.1) */ \
+  /* Capacity ceiling in bytes for the partition footprint (0 =           \
+     uncapped, today's unbounded growth). With a cap, an allocation that  \
+     needs a new partition when the footprint is already at the ceiling   \
+     raises SpaceExhaustedError (sim/errors.h) instead of growing — the   \
+     regime the 1996 paper's rate control exists to prevent. Capped runs  \
+     whose footprint never reaches the ceiling are byte-identical to      \
+     uncapped ones. */                                                    \
+  X(uint64_t, max_db_bytes, 0)                                            \
+  /* Treat the most recent allocation as a GC root (the application       \
+     still holds a transient reference to an object it has not linked in  \
+     yet). Trace-driven simulations need this; bare-store fixtures may    \
+     not. */                                                              \
+  X(bool, pin_newest_allocation, true)                                    \
+  /* Optional physical-disk service-time model (off: the paper's          \
+     operation-count methodology; on: elapsed-time estimates too). */     \
+  X(bool, enable_disk_timing, false)                                      \
+  X(DiskParams, disk, {})                                                 \
+  /* Deterministic fault schedule (I/O faults, torn pages, crash          \
+     points). Defaults to all-off, which leaves behavior byte-identical   \
+     to a store without fault support. */                                 \
+  X(FaultPlan, fault, {})
+
 struct StoreConfig {
-  uint32_t partition_bytes = 96 * 1024;
-  uint32_t page_bytes = 8 * 1024;
-  uint32_t buffer_pages = 12;  // buffer size == partition size (Sec. 3.1)
-  // Treat the most recent allocation as a GC root (the application still
-  // holds a transient reference to an object it has not linked in yet).
-  // Trace-driven simulations need this; bare-store fixtures may not.
-  bool pin_newest_allocation = true;
-  // Optional physical-disk service-time model (off: the paper's
-  // operation-count methodology; on: elapsed-time estimates too).
-  bool enable_disk_timing = false;
-  DiskParams disk;
-  // Deterministic fault schedule (I/O faults, torn pages, crash points).
-  // Defaults to all-off, which leaves behavior byte-identical to a store
-  // without fault support.
-  FaultPlan fault;
-  // Capacity ceiling in bytes for the partition footprint (0 = uncapped,
-  // today's unbounded growth). With a cap, an allocation that needs a
-  // new partition when the footprint is already at the ceiling raises
-  // SpaceExhaustedError (sim/errors.h) instead of growing — the regime
-  // the 1996 paper's rate control exists to prevent. Capped runs whose
-  // footprint never reaches the ceiling are byte-identical to uncapped
-  // ones.
-  uint64_t max_db_bytes = 0;
+  ODBGC_FIELD_TABLE(ODBGC_STORE_CONFIG_FIELDS)
 };
 
 // The simulated object database: partitions, objects, pointer slots,

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "sim/report.h"
 #include "sim/runner.h"
 #include "sim/simulation.h"
+#include "util/fields.h"
 #include "util/snapshot.h"
 
 namespace odbgc {
@@ -192,6 +194,51 @@ TEST(CheckpointTest, FingerprintCoversBehaviorFields) {
   SimConfig store = base;
   store.store.partition_bytes = 32 * 1024;
   EXPECT_NE(ConfigFingerprint(store), fp);
+}
+
+// Calls f(name, member) for every leaf row of a config table, depth
+// first, with the row's dotted name ("store.fault.bitflip_prob").
+template <class R, class F>
+void ForEachLeafRow(R& rec, const std::string& prefix, F& f) {
+  R::ForEachField(rec, [&](const FieldInfo& info, auto& v) {
+    if constexpr (FieldRecord<std::remove_cvref_t<decltype(v)>>) {
+      ForEachLeafRow(v, prefix + info.name + ".", f);
+    } else {
+      f(prefix + info.name, v);
+    }
+  });
+}
+
+TEST(CheckpointTest, FingerprintCoversEveryConfigRow) {
+  size_t rows = 0;
+  SimConfig counted;
+  auto count = [&rows](const std::string&, auto&) { ++rows; };
+  ForEachLeafRow(counted, "", count);
+  EXPECT_GE(rows, 70u);  // the knobs the fingerprint once listed by hand
+
+  const uint64_t base = ConfigFingerprint(SimConfig());
+  for (size_t target = 0; target < rows; ++target) {
+    // Perturb only the target-th row: flip a bool, bump an enum's byte,
+    // add 1 to a number.
+    SimConfig config;
+    size_t index = 0;
+    std::string name;
+    auto perturb = [&](const std::string& row, auto& v) {
+      using T = std::remove_cvref_t<decltype(v)>;
+      if (index++ != target) return;
+      name = row;
+      if constexpr (std::is_same_v<T, bool>) {
+        v = !v;
+      } else if constexpr (std::is_enum_v<T>) {
+        v = static_cast<T>(static_cast<uint8_t>(v) + 1);
+      } else {
+        v += 1;
+      }
+    };
+    ForEachLeafRow(config, "", perturb);
+    EXPECT_NE(ConfigFingerprint(config), base)
+        << name << " is not in the fingerprint";
+  }
 }
 
 // --- write / resume round trip -------------------------------------------
