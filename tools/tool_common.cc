@@ -124,45 +124,54 @@ bool BuildWorkloadTrace(const Flags& flags, Trace* trace,
 
 bool BuildSimConfig(const Flags& flags, SimConfig* config,
                     std::string* error) {
-  config->store.partition_bytes =
-      static_cast<uint32_t>(flags.GetInt("partition-kb", 96)) * 1024;
-  config->store.page_bytes =
-      static_cast<uint32_t>(flags.GetInt("page-kb", 8)) * 1024;
-  config->store.buffer_pages =
-      static_cast<uint32_t>(flags.GetInt("buffer-pages", 12));
-  config->preamble_collections =
-      static_cast<uint32_t>(flags.GetInt("preamble", 10));
-  config->store.enable_disk_timing = flags.GetBool("disk-timing", false);
+  // Numeric and boolean flags default to the field they set.
+  StoreConfig& store = config->store;
+  store.partition_bytes = 1024 * static_cast<uint32_t>(flags.GetInt(
+      "partition-kb", store.partition_bytes / 1024));
+  store.page_bytes = 1024 * static_cast<uint32_t>(
+      flags.GetInt("page-kb", store.page_bytes / 1024));
+  store.buffer_pages =
+      static_cast<uint32_t>(flags.GetInt("buffer-pages", store.buffer_pages));
+  config->preamble_collections = static_cast<uint32_t>(
+      flags.GetInt("preamble", config->preamble_collections));
+  store.enable_disk_timing =
+      flags.GetBool("disk-timing", store.enable_disk_timing);
 
   std::string policy = flags.GetString("policy", "saga");
   if (policy == "fixed") {
     config->policy = PolicyKind::kFixedRate;
-    config->fixed_rate_overwrites =
-        static_cast<uint64_t>(flags.GetInt("rate", 200));
+    config->fixed_rate_overwrites = static_cast<uint64_t>(flags.GetInt(
+        "rate", static_cast<int64_t>(config->fixed_rate_overwrites)));
   } else if (policy == "heuristic") {
     config->policy = PolicyKind::kConnectivityHeuristic;
   } else if (policy == "alloc-rate") {
     config->policy = PolicyKind::kAllocationRate;
-    config->allocation_rate_bytes =
-        static_cast<uint64_t>(flags.GetInt("alloc-bytes", 96 * 1024));
+    config->allocation_rate_bytes = static_cast<uint64_t>(flags.GetInt(
+        "alloc-bytes", static_cast<int64_t>(config->allocation_rate_bytes)));
   } else if (policy == "alloc-triggered") {
     config->policy = PolicyKind::kAllocationTriggered;
   } else if (policy == "saio") {
     config->policy = PolicyKind::kSaio;
-    config->saio_frac = flags.GetDouble("saio-frac", 0.10);
+    config->saio_frac = flags.GetDouble("saio-frac", config->saio_frac);
     config->saio_history =
-        flags.GetString("hist", "0") == "inf"
+        flags.GetString("hist", "") == "inf"
             ? SaioPolicy::kInfiniteHistory
-            : static_cast<size_t>(flags.GetInt("hist", 0));
-    config->saio_opportunism = flags.GetBool("opportunism", false);
+            : static_cast<size_t>(flags.GetInt(
+                  "hist", static_cast<int64_t>(config->saio_history)));
+    config->saio_opportunism =
+        flags.GetBool("opportunism", config->saio_opportunism);
   } else if (policy == "saga") {
     config->policy = PolicyKind::kSaga;
-    config->saga.garbage_frac = flags.GetDouble("saga-frac", 0.10);
-    config->saga.opportunism = flags.GetBool("opportunism", false);
+    config->saga.garbage_frac =
+        flags.GetDouble("saga-frac", config->saga.garbage_frac);
+    config->saga.opportunism =
+        flags.GetBool("opportunism", config->saga.opportunism);
   } else if (policy == "coupled") {
     config->policy = PolicyKind::kCoupled;
-    config->coupled.io_frac = flags.GetDouble("saio-frac", 0.10);
-    config->coupled.garbage_ref_frac = flags.GetDouble("ref-frac", 0.10);
+    config->coupled.io_frac =
+        flags.GetDouble("saio-frac", config->coupled.io_frac);
+    config->coupled.garbage_ref_frac =
+        flags.GetDouble("ref-frac", config->coupled.garbage_ref_frac);
   } else {
     *error = "unknown --policy '" + policy + "'";
     return false;
@@ -183,7 +192,8 @@ bool BuildSimConfig(const Flags& flags, SimConfig* config,
     *error = "unknown --estimator '" + estimator + "'";
     return false;
   }
-  config->fgs_history_factor = flags.GetDouble("history-factor", 0.8);
+  config->fgs_history_factor =
+      flags.GetDouble("history-factor", config->fgs_history_factor);
 
   std::string selector = flags.GetString("selector", "updated");
   if (selector == "updated") {
@@ -207,33 +217,39 @@ bool BuildSimConfig(const Flags& flags, SimConfig* config,
 
   // Fault injection & self-healing. All defaults are "off": a run that
   // passes none of these stays byte-identical to a faultless build.
-  FaultPlan& fault = config->store.fault;
-  fault.read_fault_prob = flags.GetDouble("read-fault-prob", 0.0);
-  fault.write_fault_prob = flags.GetDouble("write-fault-prob", 0.0);
-  fault.torn_write_prob = flags.GetDouble("torn-prob", 0.0);
-  fault.bitflip_prob = flags.GetDouble("bitflip-prob", 0.0);
-  fault.decay_prob = flags.GetDouble("decay-prob", 0.0);
+  FaultPlan& fault = store.fault;
+  fault.read_fault_prob =
+      flags.GetDouble("read-fault-prob", fault.read_fault_prob);
+  fault.write_fault_prob =
+      flags.GetDouble("write-fault-prob", fault.write_fault_prob);
+  fault.torn_write_prob = flags.GetDouble("torn-prob", fault.torn_write_prob);
+  fault.bitflip_prob = flags.GetDouble("bitflip-prob", fault.bitflip_prob);
+  fault.decay_prob = flags.GetDouble("decay-prob", fault.decay_prob);
   fault.decay_latency = static_cast<uint32_t>(
       flags.GetInt("decay-latency", fault.decay_latency));
-  fault.dead_page_prob = flags.GetDouble("dead-page-prob", 0.0);
-  fault.dead_partition_prob = flags.GetDouble("dead-partition-prob", 0.0);
+  fault.dead_page_prob =
+      flags.GetDouble("dead-page-prob", fault.dead_page_prob);
+  fault.dead_partition_prob =
+      flags.GetDouble("dead-partition-prob", fault.dead_partition_prob);
   fault.seed = static_cast<uint64_t>(
       flags.GetInt("fault-seed", static_cast<int64_t>(fault.seed)));
-  fault.commit_protocol = flags.GetBool("commit-protocol", false);
-  config->scrub_interval_events =
-      static_cast<uint32_t>(flags.GetInt("scrub-interval", 0));
+  fault.commit_protocol =
+      flags.GetBool("commit-protocol", fault.commit_protocol);
+  config->scrub_interval_events = static_cast<uint32_t>(
+      flags.GetInt("scrub-interval", config->scrub_interval_events));
   config->scrub_pages_per_quantum = static_cast<uint32_t>(
       flags.GetInt("scrub-pages", config->scrub_pages_per_quantum));
-  config->auto_repair = !flags.GetBool("no-auto-repair", false);
+  config->auto_repair = !flags.GetBool("no-auto-repair", !config->auto_repair);
   config->verify_after_repair =
-      !flags.GetBool("no-verify-after-repair", false);
+      !flags.GetBool("no-verify-after-repair", !config->verify_after_repair);
 
   // Capacity & overload governor. All defaults are "off": uncapped,
   // ungoverned runs stay byte-identical to pre-governor builds.
-  config->store.max_db_bytes =
-      static_cast<uint64_t>(flags.GetInt("max-db-mb", 0)) * 1024 * 1024;
+  constexpr uint64_t kMiB = 1024 * 1024;
+  store.max_db_bytes = kMiB * static_cast<uint64_t>(flags.GetInt(
+      "max-db-mb", static_cast<int64_t>(store.max_db_bytes / kMiB)));
   GovernorConfig& gov = config->governor;
-  gov.enabled = flags.GetBool("governor", false);
+  gov.enabled = flags.GetBool("governor", gov.enabled);
   gov.yellow_frac = flags.GetDouble("governor-yellow", gov.yellow_frac);
   gov.red_frac = flags.GetDouble("governor-red", gov.red_frac);
   gov.hysteresis_frac =
@@ -251,12 +267,52 @@ bool BuildSimConfig(const Flags& flags, SimConfig* config,
       flags.GetDouble("safe-mode-flip", gov.safe_mode_flip_frac);
   gov.safe_mode_fixed_interval = static_cast<uint64_t>(flags.GetInt(
       "safe-mode-rate", static_cast<int64_t>(gov.safe_mode_fixed_interval)));
-  if (gov.enabled &&
-      (gov.yellow_frac <= 0.0 || gov.yellow_frac > gov.red_frac ||
-       gov.red_frac > 1.0)) {
-    *error = "--governor-yellow/--governor-red must satisfy "
-             "0 < yellow <= red <= 1";
-    return false;
+
+  // The ranges the library's constructors CHECK, reported here as flag
+  // errors (exit 2) instead of aborts. Each rule holds unless its flag
+  // applies to this run and its value is out of range.
+  auto open_unit = [](double v) { return v > 0.0 && v < 1.0; };
+  const PolicyKind kind = config->policy;
+  const struct {
+    bool ok;
+    const char* message;
+  } rules[] = {
+      {store.page_bytes > 0, "--page-kb must be positive"},
+      {store.page_bytes == 0 ||
+           (store.partition_bytes > 0 &&
+            store.partition_bytes % store.page_bytes == 0),
+       "--partition-kb must be a positive multiple of --page-kb"},
+      {store.buffer_pages > 0, "--buffer-pages must be positive"},
+      {kind != PolicyKind::kFixedRate || config->fixed_rate_overwrites > 0,
+       "--rate must be positive"},
+      {kind != PolicyKind::kAllocationRate ||
+           config->allocation_rate_bytes > 0,
+       "--alloc-bytes must be positive"},
+      {kind != PolicyKind::kSaio || open_unit(config->saio_frac),
+       "--saio-frac must be in (0, 1)"},
+      {kind != PolicyKind::kSaga || open_unit(config->saga.garbage_frac),
+       "--saga-frac must be in (0, 1)"},
+      {kind != PolicyKind::kCoupled || open_unit(config->coupled.io_frac),
+       "--saio-frac must be in (0, 1)"},
+      {kind != PolicyKind::kCoupled || config->coupled.garbage_ref_frac > 0.0,
+       "--ref-frac must be positive"},
+      {config->fgs_history_factor >= 0.0 && config->fgs_history_factor <= 1.0,
+       "--history-factor must be in [0, 1]"},
+      {!gov.enabled || (gov.yellow_frac > 0.0 &&
+                        gov.yellow_frac <= gov.red_frac && gov.red_frac <= 1.0),
+       "--governor-yellow/--governor-red must satisfy 0 < yellow <= red <= 1"},
+      {!gov.enabled || gov.hysteresis_frac >= 0.0,
+       "--governor-hysteresis must be non-negative"},
+      {!gov.enabled || gov.check_interval_events > 0,
+       "--governor-check-interval must be positive"},
+      {!gov.enabled || gov.safe_mode_fixed_interval > 0,
+       "--safe-mode-rate must be positive"},
+  };
+  for (const auto& rule : rules) {
+    if (!rule.ok) {
+      *error = rule.message;
+      return false;
+    }
   }
   return true;
 }

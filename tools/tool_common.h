@@ -38,17 +38,9 @@ bool BuildOo7Params(const Flags& flags, Oo7Params* params,
 bool BuildWorkloadTrace(const Flags& flags, Trace* trace,
                         std::string* error);
 
-// --policy=fixed|heuristic|saio|saga|coupled
-// --rate=N (fixed) --saio-frac=F --hist=N|inf --saga-frac=F
-// --estimator=oracle|cgscb|cgshb|fgscb|fgshb --history-factor=H
-// --selector=updated|random|roundrobin|oracle
-// --partition-kb=N --page-kb=N --buffer-pages=N --preamble=N
-// --opportunism (enables the quiescence extension)
-// Fault injection & self-healing: --read-fault-prob=F --write-fault-prob=F
-// --torn-prob=F --bitflip-prob=F --decay-prob=F --decay-latency=N
-// --dead-page-prob=F --dead-partition-prob=F --fault-seed=N
-// --commit-protocol --scrub-interval=N --scrub-pages=N
-// --no-auto-repair --no-verify-after-repair
+// The simulation flags PrintCommonUsage lists. A numeric or boolean flag
+// defaults to the value *config holds; a value outside the range the
+// library accepts fails with *error naming the flag.
 bool BuildSimConfig(const Flags& flags, SimConfig* config,
                     std::string* error);
 
