@@ -1,6 +1,7 @@
 #ifndef ODBGC_OO7_PARAMS_H_
 #define ODBGC_OO7_PARAMS_H_
 
+#include <compare>
 #include <cstdint>
 
 namespace odbgc {
@@ -18,6 +19,8 @@ struct Oo7Params {
   uint32_t num_assm_levels = 6;
   uint32_t num_comp_per_assm = 3;
   uint32_t num_modules = 1;
+
+  auto operator<=>(const Oo7Params&) const = default;
 
   static Oo7Params SmallPrime();  // the paper's Small'
   static Oo7Params Small();       // OO7 Small [CDN93]

@@ -13,14 +13,6 @@
 
 namespace odbgc {
 
-TraceCache::Key TraceCache::MakeKey(const Oo7Params& params, uint64_t seed) {
-  return Key{params.num_atomic_per_comp, params.num_conn_per_atomic,
-             params.document_bytes,      params.manual_kbytes,
-             params.num_comp_per_module, params.num_assm_per_assm,
-             params.num_assm_levels,     params.num_comp_per_assm,
-             params.num_modules,         seed};
-}
-
 void TraceCache::set_generator_for_test(Generator generator) {
   std::lock_guard<std::mutex> lock(mu_);
   generator_ = std::move(generator);
@@ -28,7 +20,7 @@ void TraceCache::set_generator_for_test(Generator generator) {
 
 std::shared_ptr<const Trace> TraceCache::GetOo7(const Oo7Params& params,
                                                 uint64_t seed) {
-  Key key = MakeKey(params, seed);
+  const Key key{params, seed};
   std::shared_ptr<Slot> slot;
   {
     std::unique_lock<std::mutex> lock(mu_);

@@ -1,7 +1,6 @@
 #ifndef ODBGC_SIM_PARALLEL_H_
 #define ODBGC_SIM_PARALLEL_H_
 
-#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -10,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "obs/trace_recorder.h"
@@ -86,9 +86,9 @@ class TraceCache {
   void set_generator_for_test(Generator generator);
 
  private:
-  // Every Oo7Params field plus the seed; params are plain counts, so
-  // field-wise equality is exactly trace-identity.
-  using Key = std::array<uint64_t, 10>;
+  // Params are plain counts, so member-wise equality is exactly
+  // trace-identity.
+  using Key = std::pair<Oo7Params, uint64_t>;
   struct Slot {
     std::shared_ptr<const Trace> trace;
     bool ready = false;
@@ -97,7 +97,6 @@ class TraceCache {
     uint64_t last_use = 0;    // LRU stamp (use_clock_ at last request)
   };
 
-  static Key MakeKey(const Oo7Params& params, uint64_t seed);
   // Evicts least-recently-used ready slots until the budget is met.
   // Caller holds mu_.
   void EnforceBudgetLocked();
