@@ -1,8 +1,7 @@
 #include "obs/perfetto_export.h"
 
-#include <cstdio>
-
 #include "obs/build_info.h"
+#include "util/file.h"
 #include "util/json.h"
 
 namespace odbgc::obs {
@@ -119,12 +118,7 @@ std::string ChromeTraceJson(const std::vector<TraceThread>& threads,
 bool WriteChromeTrace(const std::vector<TraceThread>& threads,
                       const std::string& path,
                       const std::string& process_name) {
-  std::string json = ChromeTraceJson(threads, process_name);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
+  return WriteWholeFile(path, ChromeTraceJson(threads, process_name));
 }
 
 }  // namespace odbgc::obs

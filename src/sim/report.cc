@@ -1,9 +1,8 @@
 #include "sim/report.h"
 
-#include <cstdio>
-
 #include "obs/build_info.h"
 #include "storage/buffer_pool.h"
+#include "util/file.h"
 #include "util/json.h"
 
 namespace odbgc {
@@ -200,12 +199,7 @@ std::string SimResultToJson(const SimResult& result,
 
 bool WriteResultJson(const SimResult& result, const std::string& path,
                      bool include_collection_log) {
-  std::string json = SimResultToJson(result, include_collection_log);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
+  return WriteWholeFile(path, SimResultToJson(result, include_collection_log));
 }
 
 std::string SweepReportToJson(const std::vector<SweepPoint>& points,
@@ -277,13 +271,8 @@ bool WriteSweepReportJson(const std::vector<SweepPoint>& points,
                           const std::vector<RunOutcome>& outcomes,
                           const std::string& path,
                           bool include_collection_log) {
-  std::string json =
-      SweepReportToJson(points, outcomes, include_collection_log);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
+  return WriteWholeFile(
+      path, SweepReportToJson(points, outcomes, include_collection_log));
 }
 
 std::string DecisionsToJsonl(const SimResult& result) {
@@ -298,12 +287,7 @@ std::string DecisionsToJsonl(const SimResult& result) {
 }
 
 bool WriteDecisionsJsonl(const SimResult& result, const std::string& path) {
-  std::string jsonl = DecisionsToJsonl(result);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-  std::fclose(f);
-  return written == jsonl.size();
+  return WriteWholeFile(path, DecisionsToJsonl(result));
 }
 
 std::string TimeSeriesToJsonl(const SimResult& result) {
@@ -328,12 +312,7 @@ std::string TimeSeriesToJsonl(const SimResult& result) {
 }
 
 bool WriteTimeSeriesJsonl(const SimResult& result, const std::string& path) {
-  std::string jsonl = TimeSeriesToJsonl(result);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  size_t written = std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-  std::fclose(f);
-  return written == jsonl.size();
+  return WriteWholeFile(path, TimeSeriesToJsonl(result));
 }
 
 }  // namespace odbgc

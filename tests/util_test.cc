@@ -1,11 +1,14 @@
 #include <algorithm>
+#include <cstdio>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/check.h"
+#include "util/file.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/table_printer.h"
@@ -216,6 +219,25 @@ TEST(TablePrinterTest, FormatsNumbers) {
   EXPECT_EQ(TablePrinter::Fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::Fmt(uint64_t{42}), "42");
   EXPECT_EQ(TablePrinter::Fmt(int64_t{-7}), "-7");
+}
+
+TEST(WholeFileTest, ReadsBackWhatWasWrittenAndFailsOnDirectories) {
+  std::string bytes(100000, '\0');  // more than one 64 KiB read
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 31 + i / 256);
+  }
+  const std::string path = ::testing::TempDir() + "odbgc_whole_file";
+  ASSERT_TRUE(WriteWholeFile(path, bytes));
+  std::string out = "stale";
+  EXPECT_TRUE(ReadWholeFile(path, &out));
+  EXPECT_EQ(out, bytes);
+  std::remove(path.c_str());
+
+  // A missing path fails to open; a directory opens for reading but
+  // fails to read, which only the ferror check catches.
+  EXPECT_FALSE(ReadWholeFile(path, &out));
+  EXPECT_FALSE(ReadWholeFile(::testing::TempDir(), &out));
+  EXPECT_FALSE(WriteWholeFile(::testing::TempDir(), bytes));
 }
 
 TEST(CheckTest, PassingChecksAreSilentAndEvaluateOnce) {

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "util/file.h"
 #include "util/flags.h"
 #include "util/json.h"
 
@@ -72,18 +73,6 @@ struct LedgerSummary {
   std::string target_kind = "none";
 };
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  std::fclose(f);
-  return true;
-}
-
 double Num(const JsonValue& obj, const char* key) {
   const JsonValue* v = obj.Find(key);
   return (v != nullptr && v->is_number()) ? v->number_value() : 0.0;
@@ -99,7 +88,7 @@ std::string Str(const JsonValue& obj, const char* key) {
 bool LoadJsonlObjects(const std::string& path,
                       std::vector<JsonValue>* out, std::string* error) {
   std::string text;
-  if (!ReadFile(path, &text)) {
+  if (!odbgc::ReadWholeFile(path, &text)) {
     *error = "cannot read '" + path + "'";
     return false;
   }

@@ -22,22 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "util/file.h"
 #include "util/flags.h"
 #include "util/json.h"
 
 namespace {
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  std::fclose(f);
-  return true;
-}
 
 // Every span and instant name the simulator emits (--strict-names).
 // Grown alongside the emit sites; docs/OBSERVABILITY.md carries the
@@ -92,7 +81,7 @@ int main(int argc, char** argv) {
   const std::string& path = flags.positional()[0];
 
   std::string text;
-  if (!ReadFile(path, &text)) {
+  if (!odbgc::ReadWholeFile(path, &text)) {
     std::fprintf(stderr, "error: cannot read '%s'\n", path.c_str());
     return 1;
   }
