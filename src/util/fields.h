@@ -15,7 +15,9 @@ namespace odbgc {
 
 // Field tables: a result record lists its members once, and the report
 // encoder, the checkpoint encoder and the checkpoint decoder all walk
-// that list instead of naming the members one by one.
+// that list instead of naming the members one by one. Config tables
+// (sim/config.h) feed only the checkpoint encoder, which hashes them
+// into the config fingerprint.
 //
 // A table is an X-macro with one row per member,
 // X(type, member, default, options...), rows joined by line splices:
