@@ -148,21 +148,6 @@ void Collector::PlanPartition(const ObjectStore& store, PartitionId partition,
   plan->new_used = new_used;
 }
 
-void Collector::EnsurePlanCache(const ObjectStore& store) {
-  if (cache_serial_ != store.store_serial()) {
-    cache_serial_ = store.store_serial();
-    plan_cache_.clear();
-    plan_cache_epoch_.clear();
-    plan_cache_valid_.clear();
-  }
-  const size_t n = store.partition_count();
-  if (plan_cache_.size() < n) {
-    plan_cache_.resize(n);
-    plan_cache_epoch_.resize(n, 0);
-    plan_cache_valid_.resize(n, 0);
-  }
-}
-
 CollectionReport Collector::Collect(ObjectStore& store,
                                     PartitionId partition) {
   ODBGC_CHECK_MSG(!journal_.pending,
@@ -175,15 +160,8 @@ CollectionReport Collector::Collect(ObjectStore& store,
     report.skipped_quarantine = true;
     return report;
   }
-  EnsurePlanCache(store);
-  const uint64_t epoch = store.plan_epoch(partition);
-  CollectionPlan& plan = plan_cache_[partition];
-  if (!plan_cache_valid_[partition] || plan_cache_epoch_[partition] != epoch) {
-    PlanPartition(store, partition, &plan);
-    plan_cache_epoch_[partition] = epoch;
-    plan_cache_valid_[partition] = 1;
-  }
-  return ApplyCollection(store, partition, plan);
+  PlanPartition(store, partition, &plan_scratch_);
+  return ApplyCollection(store, partition, plan_scratch_);
 }
 
 CollectionReport Collector::ApplyCollection(ObjectStore& store,
@@ -483,9 +461,7 @@ void Collector::FinishCollection(ObjectStore& store, PartitionId partition,
                                  uint64_t reclaimed_objects) {
   Partition& part = store.mutable_partition(partition);
   const uint32_t old_used = part.used();
-  if (part.ResetAfterCollection(copy_order, new_used)) {
-    store.BumpPlanEpoch(partition);
-  }
+  part.ResetAfterCollection(copy_order, new_used);
   part.set_last_collected_stamp(++collections_);
   store.AdjustUsedBytes(partition, old_used, new_used);
   store.RecordGarbageCollected(reclaimed_bytes, reclaimed_objects);

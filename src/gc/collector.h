@@ -79,10 +79,9 @@ struct RecoveryReport {
 // Every collection is split into a read-only *plan* (mark into a bitmap,
 // derive the Cheney copy order, the reclaim set, and the compacted
 // layout — no store mutation, no I/O dependence) and an *apply* (the
-// I/O, the flip, the remembered-set rewrite, the bookkeeping). The plan
-// is cached per partition and reused while the store's plan epoch for
-// that partition is unchanged, so a steady-state re-collection skips
-// marking entirely.
+// I/O, the flip, the remembered-set rewrite, the bookkeeping). The split
+// keeps every store mutation after the commit point (step 3 below), and
+// the crash journal is a copy of the plan.
 //
 // I/O model: the collector scans the partition's used pages (reads),
 // writes the compacted survivors, and — because relocation changes object
@@ -193,16 +192,10 @@ class Collector {
   void PlanPartition(const ObjectStore& store, PartitionId partition,
                      CollectionPlan* plan);
 
-  // Points the plan cache at `store` (keyed by its serial; a different or
-  // restored store starts cold) and spans it over the current partition
-  // count.
-  void EnsurePlanCache(const ObjectStore& store);
-
   // The from-space read and steps 2-6 (I/O, flip, remembered sets,
   // bookkeeping, crash handling) for a partition whose plan is already
-  // computed. `plan` is the partition's cache entry; its vectors are
-  // copied into the journal on a crash and into the partition's survivor
-  // list on completion.
+  // computed. The plan's vectors are copied into the journal on a crash
+  // and into the partition's survivor list on completion.
   CollectionReport ApplyCollection(ObjectStore& store, PartitionId partition,
                                    const CollectionPlan& plan);
 
@@ -251,16 +244,8 @@ class Collector {
 
   // Scratch reused across collections (no alloc churn).
   MarkBitmap mark_scratch_;
+  CollectionPlan plan_scratch_;
   std::vector<RemsetTouch> remset_scratch_;
-
-  // Plan cache: one slot per partition, valid while the store's
-  // plan-input epoch for it is unchanged (ObjectStore::plan_epoch
-  // documents exactly what bumps it). Steady-state collections — collect,
-  // mutate elsewhere, collect again — skip the whole mark/plan phase.
-  uint64_t cache_serial_ = 0;
-  std::vector<CollectionPlan> plan_cache_;
-  std::vector<uint64_t> plan_cache_epoch_;
-  std::vector<char> plan_cache_valid_;
 };
 
 }  // namespace odbgc

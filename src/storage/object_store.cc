@@ -1,7 +1,6 @@
 #include "storage/object_store.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "sim/errors.h"
@@ -9,16 +8,7 @@
 
 namespace odbgc {
 
-namespace {
-// Store identity for the collector's plan-cache keying. Process-global
-// and monotonic: also advanced on every RestoreState, so a restored
-// store never aliases its own pre-restore cache entries. Never observable
-// in simulation output.
-std::atomic<uint64_t> g_store_serial{0};
-}  // namespace
-
-ObjectStore::ObjectStore(const StoreConfig& config)
-    : config_(config), serial_(++g_store_serial) {
+ObjectStore::ObjectStore(const StoreConfig& config) : config_(config) {
   ODBGC_CHECK(config.page_bytes > 0);
   ODBGC_CHECK(config.partition_bytes % config.page_bytes == 0);
   pool_ = std::make_unique<BufferPool>(
@@ -72,7 +62,6 @@ Partition& ObjectStore::PartitionFor(uint32_t size, ObjectId near_hint) {
   }
   PartitionId id = static_cast<PartitionId>(partitions_.size());
   partitions_.emplace_back(id, config_.partition_bytes);
-  plan_epochs_.push_back(0);
   if (!quarantined_.empty()) quarantined_.push_back(0);
   free_index_.PushPartition(config_.partition_bytes);
   alloc_cursor_ = id;
@@ -90,7 +79,6 @@ bool ObjectStore::QuarantinePartition(PartitionId p) {
   // Hide the partition from the allocator: the free-space index reports
   // it full, and PartitionFor's cursor / hint fast paths check the flag.
   free_index_.Update(p, 0);
-  ++plan_epochs_[p];
   return true;
 }
 
@@ -100,7 +88,6 @@ void ObjectStore::ReleasePartition(PartitionId p) {
   quarantined_[p] = 0;
   --quarantined_count_;
   free_index_.Update(p, partitions_[p].free_bytes());
-  ++plan_epochs_[p];
 }
 
 uint64_t ObjectStore::quarantined_used_bytes() const {
@@ -141,8 +128,6 @@ void ObjectStore::RebuildDerivedState() {
     free_index_.Update(part.id(),
                        IsQuarantined(part.id()) ? 0 : part.free_bytes());
   }
-  // Every partition's planning inputs may have changed.
-  for (uint64_t& epoch : plan_epochs_) ++epoch;
 }
 
 void ObjectStore::CreateObject(ObjectId id, uint32_t size,
@@ -171,13 +156,6 @@ void ObjectStore::CreateObject(ObjectId id, uint32_t size,
   used_bytes_ += size;
   allocated_bytes_total_ += size;
   ++live_objects_;
-  ++plan_epochs_[rec.partition];
-  // The pin moves off the previous newest allocation, un-rooting it for
-  // its partition's planner.
-  if (config_.pin_newest_allocation && newest_object_ != kNullObject &&
-      newest_object_ != id && Exists(newest_object_)) {
-    ++plan_epochs_[objects_[newest_object_].partition];
-  }
   newest_object_ = id;
   TouchRange(rec.partition, rec.offset, rec.size, /*dirty=*/true,
              IoContext::kApplication);
@@ -202,13 +180,7 @@ void ObjectStore::AttachInRef(ObjectId src, uint32_t slot, ObjectId target) {
   const uint32_t pos = s.slot_begin + slot;
   slot_arena_[pos].backref = static_cast<uint32_t>(tin.size());
   tin.push_back(InRef{src, pos});
-  // Plan inputs: the source partition's out-edges changed; a
-  // cross-partition edge also changes the target's root-candidacy.
-  ++plan_epochs_[s.partition];
-  if (s.partition != t.partition) {
-    ++t.xpart_in_refs;
-    ++plan_epochs_[t.partition];
-  }
+  if (s.partition != t.partition) ++t.xpart_in_refs;
 }
 
 void ObjectStore::DetachInRef(ObjectId src, uint32_t slot, ObjectId target) {
@@ -222,11 +194,9 @@ void ObjectStore::DetachInRef(ObjectId src, uint32_t slot, ObjectId target) {
   // exactly (src, pos) — is the verifier's job, keeping a random entry
   // load out of every pointer overwrite.
   ODBGC_CHECK_MSG(idx < tin.size(), "reverse index out of sync");
-  ++plan_epochs_[s.partition];
   if (s.partition != t.partition) {
     ODBGC_CHECK_MSG(t.xpart_in_refs > 0, "reverse index out of sync");
     --t.xpart_in_refs;
-    ++plan_epochs_[t.partition];
   }
   // Swap-erase (the in-ref list is an unordered multiset); the moved
   // entry's owning slot is patched to its new position. The entry carries
@@ -244,16 +214,12 @@ void ObjectStore::AddRoot(ObjectId id) {
   ODBGC_CHECK(Exists(id));
   ODBGC_CHECK(!IsRoot(id));
   roots_.push_back(id);
-  ++plan_epochs_[objects_[id].partition];
 }
 
 void ObjectStore::RemoveRoot(ObjectId id) {
   auto it = std::find(roots_.begin(), roots_.end(), id);
   ODBGC_CHECK(it != roots_.end());
-  // erase() preserves the relative order of the remaining roots, so only
-  // the departing root's partition sees a plan-input change.
   roots_.erase(it);
-  if (Exists(id)) ++plan_epochs_[objects_[id].partition];
 }
 
 bool ObjectStore::IsRoot(ObjectId id) const {
@@ -272,8 +238,6 @@ void ObjectStore::AddExternalPin(ObjectId id) {
   } else {
     external_pins_.insert(it, {id, 1u});
   }
-  // The pinned object became a planning root of its partition.
-  ++plan_epochs_[objects_[id].partition];
 }
 
 void ObjectStore::RemoveExternalPin(ObjectId id) {
@@ -285,7 +249,6 @@ void ObjectStore::RemoveExternalPin(ObjectId id) {
   ODBGC_CHECK_MSG(it != external_pins_.end() && it->first == id,
                   "removing an external pin that was never added");
   if (--it->second == 0) external_pins_.erase(it);
-  if (Exists(id)) ++plan_epochs_[objects_[id].partition];
 }
 
 bool ObjectStore::IsExternallyPinned(ObjectId id) const {
@@ -329,7 +292,6 @@ void ObjectStore::CommitRecordRead(PartitionId partition, IoContext ctx) {
 
 void ObjectStore::DestroyObject(ObjectId id) {
   ObjectRecord& rec = mutable_object(id);
-  ++plan_epochs_[rec.partition];
   for (uint32_t slot = 0; slot < rec.slot_count; ++slot) {
     const ObjectId target = slot_arena_[rec.slot_begin + slot].target;
     if (target == kNullObject) continue;
@@ -448,11 +410,6 @@ void ObjectStore::RestoreState(SnapshotReader& r) {
     partitions_.back().RestoreState(r);
     free_index_.PushPartition(partitions_.back().free_bytes());
   }
-  // Fresh epochs under a fresh serial: any collector plan cache keyed on
-  // the pre-restore serial goes cold rather than matching epoch 0.
-  plan_epochs_.assign(partitions_.size(), 0);
-  serial_ = ++g_store_serial;
-
   const uint64_t obj_count = r.U64();
   if (!r.ok()) return;
   objects_.clear();

@@ -185,11 +185,9 @@ class ObjectStore {
                IoContext::kApplication);
 
     // Fused detach + attach (the bodies of DetachInRef / AttachInRef with
-    // the source-side work shared): one load of the source header, one
-    // slot position, one plan-epoch bump for the source partition. The
-    // standalone helpers remain for the other callers.
+    // the source-side work shared): one load of the source header and one
+    // slot position. The standalone helpers remain for the other callers.
     PartitionId overwritten_partition = kInvalidPartition;
-    ++plan_epochs_[s.partition];  // the source's out-edge list changes
     if (old_target != kNullObject) {
       // Unchecked: a non-null slot target always exists (DestroyObject
       // detaches every inbound slot), and the verifier audits the edge
@@ -202,7 +200,6 @@ class ObjectStore {
       if (s.partition != ot.partition) {
         ODBGC_CHECK_MSG(ot.xpart_in_refs > 0, "reverse index out of sync");
         --ot.xpart_in_refs;
-        ++plan_epochs_[ot.partition];
       }
       const uint32_t last = static_cast<uint32_t>(otin.size()) - 1;
       if (idx != last) {
@@ -222,10 +219,7 @@ class ObjectStore {
       std::vector<InRef>& ntin = in_refs_[new_target];
       slot_arena_[pos].backref = static_cast<uint32_t>(ntin.size());
       ntin.push_back(InRef{src, pos});
-      if (s.partition != nt.partition) {
-        ++nt.xpart_in_refs;
-        ++plan_epochs_[nt.partition];
-      }
+      if (s.partition != nt.partition) ++nt.xpart_in_refs;
     }
     return overwritten_partition;
   }
@@ -326,26 +320,6 @@ class ObjectStore {
            static_cast<double>(config_.max_db_bytes);
   }
 
-  // --- Plan-input versioning (the collector's plan cache) ---
-  //
-  // A partition's plan epoch changes whenever an input of the collector's
-  // read-only planning phase for that partition may have changed:
-  // membership and list order (create / destroy / a flip that moved or
-  // removed anything), reference topology touching the partition (an
-  // attached or detached edge whose source or target lives in it), the
-  // root set, the pinned newest allocation, or a checkpoint restore.
-  // Object offsets are deliberately NOT versioned: planning derives the
-  // compacted layout from sizes alone and the apply phase reads positions
-  // live. An unchanged epoch therefore guarantees PlanPartition would
-  // reproduce its previous result bit for bit.
-  uint64_t plan_epoch(PartitionId p) const { return plan_epochs_[p]; }
-  // Identity of this store instance and restore generation. Collectors
-  // key their plan caches on it, so a cache never survives a different
-  // store at the same address or a RestoreState that reset the epochs.
-  uint64_t store_serial() const { return serial_; }
-  // Collector hook: a completed flip changed the partition's object list.
-  void BumpPlanEpoch(PartitionId p) { ++plan_epochs_[p]; }
-
   const std::vector<ObjectId>& roots() const { return roots_; }
   bool IsRoot(ObjectId id) const;
 
@@ -424,7 +398,7 @@ class ObjectStore {
   // cross-partition in-ref counters, and the free-space index. In-ref
   // lists come out in canonical (source id, slot) order — equivalent
   // under the verifier's multiset semantics, deterministic at any thread
-  // count. All plan epochs are bumped. Used by RepairHeap.
+  // count. Used by RepairHeap.
   void RebuildDerivedState();
 
   // --- Collector support ---
@@ -508,9 +482,6 @@ class ObjectStore {
 
   StoreConfig config_;
   std::vector<Partition> partitions_;
-  // Parallel to partitions_; see plan_epoch().
-  std::vector<uint64_t> plan_epochs_;
-  uint64_t serial_;
   std::vector<ObjectRecord> objects_;  // index 0 unused (null)
   // Slot arena; see ObjectRecord::slot_begin.
   std::vector<Slot> slot_arena_;

@@ -15,15 +15,13 @@ uint32_t Partition::Allocate(ObjectId obj, uint32_t size) {
   return offset;
 }
 
-bool Partition::ResetAfterCollection(const std::vector<ObjectId>& survivors,
+void Partition::ResetAfterCollection(const std::vector<ObjectId>& survivors,
                                      uint32_t new_used) {
   ODBGC_CHECK(new_used <= capacity_);
-  const bool changed = used_ != new_used || objects_ != survivors;
   objects_ = survivors;
   used_ = new_used;
   ResetOverwrites();
   RecordCollection();
-  return changed;
 }
 
 void Partition::SaveState(SnapshotWriter& w) const {

@@ -29,11 +29,8 @@ class Partition {
   // Replaces the resident-object list and used size after a compaction.
   // Takes the survivor list by const reference and copy-assigns so the
   // partition's own list keeps its capacity (the collector reuses one
-  // scratch copy-order buffer across collections). Returns true if the
-  // list or the used size actually changed; a no-op flip (everything
-  // survived, already in copy order) returns false so the caller can
-  // skip plan-cache invalidation.
-  bool ResetAfterCollection(const std::vector<ObjectId>& survivors,
+  // scratch copy-order buffer across collections).
+  void ResetAfterCollection(const std::vector<ObjectId>& survivors,
                             uint32_t new_used);
 
   const std::vector<ObjectId>& objects() const { return objects_; }

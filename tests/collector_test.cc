@@ -281,13 +281,13 @@ TEST(CollectorTest, CollectionsPerformedCounterAdvances) {
   EXPECT_EQ(gc.collections_performed(), 2u);
 }
 
-// --- Plan cache vs fresh plans ---
+// --- Reused collector vs fresh collectors ---
 //
-// Twin stores driven in lockstep: `warm` keeps one Collector, whose plan
-// cache serves every collection of a partition whose plan epoch did not
-// move; `cold` gets a fresh Collector per call and always re-plans. A
-// missed plan-epoch bump makes the warm side apply a stale plan, which
-// shows up as a report or store divergence.
+// Twin stores driven in lockstep: `reused` keeps one Collector for every
+// collection; `fresh` gets a new Collector per call. The reused side's
+// scratch (mark bitmap, plan vectors, remembered-set touches) must carry
+// nothing from one collection to the next: a leftover shows up as a
+// report or store divergence.
 
 // Digest of everything a collection can influence: object placement,
 // reverse-index state, partition bookkeeping, and total I/O.
@@ -321,55 +321,57 @@ uint64_t StoreDigest(const ObjectStore& store) {
   return h;
 }
 
-class PlanCacheTwin {
+class ReusedCollectorTwin {
  public:
-  explicit PlanCacheTwin(const StoreConfig& cfg) : warm_(cfg), cold_(cfg) {}
+  explicit ReusedCollectorTwin(const StoreConfig& cfg)
+      : reused_(cfg), fresh_(cfg) {}
 
   template <typename Fn>
   void Mutate(Fn fn) {
-    fn(&warm_);
-    fn(&cold_);
+    fn(&reused_);
+    fn(&fresh_);
   }
 
   void Collect(PartitionId p) {
-    const CollectionReport w = warm_gc_.Collect(warm_, p);
-    const CollectionReport c = Collector().Collect(cold_, p);
-    EXPECT_EQ(w.bytes_reclaimed, c.bytes_reclaimed)
+    const CollectionReport r = reused_gc_.Collect(reused_, p);
+    const CollectionReport f = Collector().Collect(fresh_, p);
+    EXPECT_EQ(r.bytes_reclaimed, f.bytes_reclaimed)
         << "collection " << collections_ << " of partition " << p;
-    EXPECT_EQ(w.objects_live, c.objects_live)
+    EXPECT_EQ(r.objects_live, f.objects_live)
         << "collection " << collections_ << " of partition " << p;
-    EXPECT_EQ(w.gc_reads, c.gc_reads)
+    EXPECT_EQ(r.gc_reads, f.gc_reads)
         << "collection " << collections_ << " of partition " << p;
-    EXPECT_EQ(w.gc_writes, c.gc_writes)
+    EXPECT_EQ(r.gc_writes, f.gc_writes)
         << "collection " << collections_ << " of partition " << p;
     ++collections_;
   }
 
   void CollectAll() {
-    for (PartitionId p = 0; p < warm_.partition_count(); ++p) Collect(p);
+    for (PartitionId p = 0; p < reused_.partition_count(); ++p) Collect(p);
   }
 
   void ExpectSameStores() const {
-    EXPECT_EQ(StoreDigest(warm_), StoreDigest(cold_))
+    EXPECT_EQ(StoreDigest(reused_), StoreDigest(fresh_))
         << "after " << collections_ << " collections";
   }
 
-  const ObjectStore& warm() const { return warm_; }
+  const ObjectStore& reused() const { return reused_; }
   uint64_t collections() const { return collections_; }
 
  private:
-  ObjectStore warm_;
-  ObjectStore cold_;
-  Collector warm_gc_;
+  ObjectStore reused_;
+  ObjectStore fresh_;
+  Collector reused_gc_;
   uint64_t collections_ = 0;
 };
 
-TEST(PlanCacheTest, CrossPartitionChainFreedByAnotherCollection) {
+TEST(CollectorReuseTest, CrossPartitionChainFreedByAnotherCollection) {
   // root(1) in p0 holds the only reference into p1 that keeps 2 alive; a
   // garbage chain 3 -> 4 crosses p0 -> p1. Collecting p0 destroys 3, the
-  // only external referencer of 4, so p1's cached plan (which kept 4 as
-  // an externally referenced root) must be invalidated.
-  PlanCacheTwin twin(SmallStore());
+  // only external referencer of 4, so the next collection of p1 must
+  // drop 4 even though the previous one kept it as an externally
+  // referenced root.
+  ReusedCollectorTwin twin(SmallStore());
   twin.Mutate([](ObjectStore* s) {
     s->CreateObject(1, 3000, 2);  // p0: root
     s->CreateObject(3, 1000, 1);  // p0: garbage head
@@ -379,40 +381,39 @@ TEST(PlanCacheTest, CrossPartitionChainFreedByAnotherCollection) {
     s->WriteRef(1, 0, 2);
     s->WriteRef(3, 0, 4);
   });
-  ASSERT_EQ(twin.warm().object(3).partition, 0u);
-  ASSERT_EQ(twin.warm().object(4).partition, 1u);
+  ASSERT_EQ(twin.reused().object(3).partition, 0u);
+  ASSERT_EQ(twin.reused().object(4).partition, 1u);
   twin.Collect(1);  // 4 survives: 3 still references it
   twin.Collect(0);  // destroys 3
   twin.Collect(1);  // 4 is now unreferenced
-  EXPECT_FALSE(twin.warm().Exists(4));
+  EXPECT_FALSE(twin.reused().Exists(4));
   twin.ExpectSameStores();
 }
 
-TEST(PlanCacheTest, CrossPartitionPointerOverwrittenBetweenCollections) {
-  // The only reference to 2 (in p1) is a slot of root 1 (in p0); clearing
-  // that slot must invalidate p1's cached plan.
-  PlanCacheTwin twin(SmallStore());
+TEST(CollectorReuseTest, CrossPartitionPointerOverwrittenBetweenCollections) {
+  // The only reference to 2 (in p1) is a slot of root 1 (in p0); once
+  // that slot is cleared, the next collection of p1 must reclaim 2.
+  ReusedCollectorTwin twin(SmallStore());
   twin.Mutate([](ObjectStore* s) {
     s->CreateObject(1, 4000, 1);  // p0: root
     s->CreateObject(2, 100, 0);   // p1
     s->AddRoot(1);
     s->WriteRef(1, 0, 2);
   });
-  ASSERT_EQ(twin.warm().object(2).partition, 1u);
+  ASSERT_EQ(twin.reused().object(2).partition, 1u);
   twin.Collect(1);
   twin.Mutate([](ObjectStore* s) { s->WriteRef(1, 0, kNullObject); });
   twin.Collect(1);
-  EXPECT_FALSE(twin.warm().Exists(2));
+  EXPECT_FALSE(twin.reused().Exists(2));
   twin.ExpectSameStores();
 }
 
-TEST(PlanCacheTest, RootSetChangesBetweenCollections) {
-  // Chain 1 -> 2 -> 3 from root 1, plus a second root 4, all in p0. A
-  // collection that reorders or shrinks the partition bumps its epoch
-  // itself, so each mutation below follows a second, no-op collection:
-  // only then is the warm side holding a plan the mutation must
-  // invalidate.
-  PlanCacheTwin twin(SmallStore());
+TEST(CollectorReuseTest, RootSetChangesBetweenCollections) {
+  // Chain 1 -> 2 -> 3 from root 1, plus a second root 4, all in p0. Each
+  // mutation below follows a second, no-op collection, so the reused
+  // collector's last plan is of the very partition and survivor list
+  // the mutation changes.
+  ReusedCollectorTwin twin(SmallStore());
   twin.Mutate([](ObjectStore* s) {
     s->CreateObject(1, 100, 1);
     s->CreateObject(2, 100, 1);
@@ -428,27 +429,27 @@ TEST(PlanCacheTest, RootSetChangesBetweenCollections) {
   // Removing root 4 turns it into garbage.
   twin.Mutate([](ObjectStore* s) { s->RemoveRoot(4); });
   twin.Collect(0);
-  EXPECT_FALSE(twin.warm().Exists(4));
+  EXPECT_FALSE(twin.reused().Exists(4));
   twin.ExpectSameStores();
   twin.Collect(0);
   // Rooting 3 moves it ahead of 2 in the Cheney copy order.
   twin.Mutate([](ObjectStore* s) { s->AddRoot(3); });
   twin.Collect(0);
-  EXPECT_EQ(twin.warm().object(3).offset, 100u);
+  EXPECT_EQ(twin.reused().object(3).offset, 100u);
   twin.ExpectSameStores();
 }
 
-TEST(PlanCacheTest, Oo7ReplayWithFrequentCollections) {
+TEST(CollectorReuseTest, Oo7ReplayWithFrequentCollections) {
   // Every partition is collected after every 8th event of a whole OO7
-  // application (about 2,000 collections, some 60% of them cache hits),
-  // with every kind of store mutation landing between them.
+  // application (about 2,000 collections), with every kind of store
+  // mutation landing between them.
   Oo7Generator gen(Oo7Params::Tiny(), 11);
   const Trace trace = gen.GenerateFullApplication();
   StoreConfig cfg;
   cfg.partition_bytes = 16 * 1024;
   cfg.page_bytes = 2 * 1024;
   cfg.buffer_pages = 8;
-  PlanCacheTwin twin(cfg);
+  ReusedCollectorTwin twin(cfg);
   for (size_t i = 0; i < trace.size(); ++i) {
     twin.Mutate([&](ObjectStore* s) { ApplyToStore(trace[i], s); });
     if (i % 8 == 7) twin.CollectAll();
