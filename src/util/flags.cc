@@ -71,7 +71,10 @@ bool Flags::GetBool(const std::string& key, bool default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   const std::string& v = it->second;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  malformed_.insert(key);
+  return default_value;
 }
 
 std::vector<std::string> Flags::UnusedKeys() const {

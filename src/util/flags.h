@@ -20,8 +20,9 @@ class Flags {
   bool Has(const std::string& key) const;
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
-  // A value that does not parse in full (`abc`, `1e3` as an integer)
-  // yields `default_value` and is recorded in MalformedKeys().
+  // A value that does not parse in full (`abc`, `1e3` as an integer, a
+  // boolean other than true/1/yes/on or false/0/no/off) yields
+  // `default_value` and is recorded in MalformedKeys().
   int64_t GetInt(const std::string& key, int64_t default_value) const;
   double GetDouble(const std::string& key, double default_value) const;
   bool GetBool(const std::string& key, bool default_value) const;
@@ -30,7 +31,7 @@ class Flags {
 
   // Keys that were provided but never read — catches typos in tools.
   std::vector<std::string> UnusedKeys() const;
-  // Keys read as numbers whose value did not parse in full.
+  // Keys read as numbers or booleans whose value did not parse in full.
   const std::set<std::string>& MalformedKeys() const { return malformed_; }
 
  private:

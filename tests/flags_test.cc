@@ -48,13 +48,28 @@ TEST(FlagsTest, BareFlagIsBooleanTrue) {
 
 TEST(FlagsTest, BooleanSpellings) {
   Flags f = ParseOk({"--a=true", "--b=1", "--c=yes", "--d=on", "--e=false",
-                     "--f=0"});
+                     "--f=0", "--g=no", "--h=off"});
   EXPECT_TRUE(f.GetBool("a", false));
   EXPECT_TRUE(f.GetBool("b", false));
   EXPECT_TRUE(f.GetBool("c", false));
   EXPECT_TRUE(f.GetBool("d", false));
   EXPECT_FALSE(f.GetBool("e", true));
   EXPECT_FALSE(f.GetBool("f", true));
+  EXPECT_FALSE(f.GetBool("g", true));
+  EXPECT_FALSE(f.GetBool("h", true));
+  EXPECT_TRUE(f.MalformedKeys().empty());
+}
+
+TEST(FlagsTest, MalformedBooleansFallBackToDefaultAndAreRecorded) {
+  // A misspelt value must not read as false: `--governor=ture` would
+  // otherwise run ungoverned and exit 0.
+  Flags f = ParseOk({"--g=ture", "--h=TRUE", "--i="});
+  EXPECT_TRUE(f.GetBool("g", true));
+  EXPECT_FALSE(f.GetBool("g", false));
+  EXPECT_TRUE(f.GetBool("h", true));
+  EXPECT_FALSE(f.GetBool("i", false));
+  EXPECT_EQ(f.MalformedKeys(), (std::set<std::string>{"g", "h", "i"}));
+  EXPECT_TRUE(f.UnusedKeys().empty());
 }
 
 TEST(FlagsTest, PositionalArguments) {
@@ -102,7 +117,8 @@ TEST(ToolCommonTest, CheckNoUnusedFlagsNamesMalformedValues) {
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"--policy=saga", "--seed=abc"},
       {"--policy=saga", "--saga-frac=abc"},
-      {"--policy=saio", "--hist=abc"}};
+      {"--policy=saio", "--hist=abc"},
+      {"--policy=saga", "--governor=ture"}};
   for (const auto& [policy, arg] : cases) {
     SimConfig cfg;
     std::string error;

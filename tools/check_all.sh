@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local gate: plain build + complete test suite + a telemetry
 # smoke (export a trace, validate it with odbgc_tracecheck), a
-# checkpoint/resume + recovery-fuzz smoke (docs/RECOVERY.md), a hot-path
+# checkpoint/resume + recovery-fuzz smoke (docs/RECOVERY.md), a bad-flag
+# smoke (misspelt flags and unreadable booleans exit 2), a hot-path
 # bench smoke (section checksums must equal BENCH_core.json), a
 # multi-tenant smoke (fleet checksums must agree across thread counts and
 # with BENCH_multi_tenant.json), a self-healing chaos smoke (silent
@@ -54,6 +55,28 @@ set -e
     --json="$ckpt_dir/resumed.json" > /dev/null
 cmp "$ckpt_dir/golden.json" "$ckpt_dir/resumed.json"
 echo "checkpoint/resume smoke: byte-identical after halfway kill"
+
+# Bad-flag smoke: a misspelt flag, or a boolean value that is none of
+# true/1/yes/on/false/0/no/off, must exit 2 naming the flag instead of
+# running with the flag off.
+./build-check/tools/odbgc_tracegen --workload=oo7 --oo7=tiny \
+    --out="$ckpt_dir/app.trace" > /dev/null
+expect_usage() {
+  local flag="$1" code=0
+  shift
+  "$@" > /dev/null 2> "$ckpt_dir/usage.err" || code=$?
+  [ "$code" -eq 2 ] || { echo "FAIL: exit $code, want 2: $*"; exit 1; }
+  grep -q -- "--$flag" "$ckpt_dir/usage.err" || {
+    echo "FAIL: error does not name --$flag: $*"; exit 1; }
+}
+expect_usage governor "$run" --workload=oo7 --oo7=tiny --governor=ture
+expect_usage strict-names ./build-check/tools/odbgc_tracecheck \
+    --strict-names=ture "$trace_tmp"
+expect_usage assumptons ./build-check/tools/odbgc_traceinfo \
+    --assumptons "$ckpt_dir/app.trace"
+expect_usage assumptions ./build-check/tools/odbgc_traceinfo \
+    --assumptions=maybe "$ckpt_dir/app.trace"
+echo "bad-flag smoke: odbgc_run, odbgc_tracecheck and odbgc_traceinfo exit 2"
 
 # Controller-introspection smoke: SAIO and SAGA runs over OO7 Small'
 # must export decision ledgers whose A/B diff reproduces the paper's

@@ -13,7 +13,8 @@
 // corrupted or reordered export). With --strict-names, every span and
 // instant name must come from the known vocabulary below — a tripwire
 // for renamed or misspelled emit sites. Exit 1: any violation (each is
-// printed).
+// printed). Exit 2: an unknown flag, a malformed flag value, or not
+// exactly one FILE.
 
 #include <cstdio>
 #include <cstring>
@@ -77,6 +78,15 @@ int main(int argc, char** argv) {
                  "usage: odbgc_tracecheck [--require-span=a,b,...] "
                  "[--strict-names] FILE\n");
     return flags.GetBool("help", false) ? 0 : 2;
+  }
+  for (const std::string& key : flags.MalformedKeys()) {
+    std::fprintf(stderr, "error: malformed value --%s=%s\n", key.c_str(),
+                 flags.GetString(key, "").c_str());
+    return 2;
+  }
+  for (const std::string& key : flags.UnusedKeys()) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+    return 2;
   }
   const std::string& path = flags.positional()[0];
 
@@ -210,10 +220,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  for (const std::string& key : flags.UnusedKeys()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
-    return 2;
-  }
   if (violations > 0) {
     std::fprintf(stderr, "%d violation(s) in %zu events\n", violations,
                  items.size());

@@ -28,6 +28,10 @@ int main(int argc, char** argv) {
                  "                 burstiness, benign-overwrite share)\n");
     return flags.GetBool("help", false) ? 0 : 2;
   }
+  if (!tools::CheckNoUnusedFlags(flags, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
   const std::string& path = flags.positional()[0];
   Trace trace;
   if (!Trace::LoadFrom(path, &trace)) {
