@@ -13,10 +13,12 @@
 //    list in the seed structures; the cross-partition in-ref counters
 //    make it O(objects in partition). Marking pays a fresh
 //    unordered_set+deque per collection in the seed; after, it is one
-//    word-packed bitmap with copy_order as the Cheney worklist, and the
-//    collector's plan-epoch cache skips marking altogether for a
-//    partition whose planning inputs did not change since its last
-//    collection (most of the rounds after the second).
+//    word-packed bitmap with copy_order as the Cheney worklist. No
+//    application writes land between rounds, so once the cross-partition
+//    garbage has drained, most collections re-mark a partition that has
+//    not changed since its last collection. A real run mostly collects
+//    the partition with the most pointer overwrites into it, which has
+//    changed since its last collection.
 //  * mark_bitmap_scan — repeated whole-database reachability scans over
 //    the word-packed mark bitmap (memset reset, TestAndSet marking,
 //    ctz-driven clear-bit iteration, popcount survivor accounting).
