@@ -7,19 +7,6 @@
 
 namespace odbgc {
 
-void Collector::AttachTelemetry(obs::Telemetry* telemetry) {
-  tel_ = telemetry;
-  if (tel_ == nullptr) return;
-  obs::MetricsRegistry& m = tel_->metrics();
-  ti_.collections = m.GetCounter("gc.collections");
-  ti_.crashes = m.GetCounter("gc.crashes");
-  ti_.recoveries = m.GetCounter("gc.recoveries");
-  ti_.bytes_reclaimed = m.GetCounter("gc.bytes_reclaimed");
-  ti_.gc_io = m.GetHistogram("gc.collection_io_ops");
-  ti_.reclaimed = m.GetHistogram("gc.collection_reclaimed_bytes");
-  ti_.live = m.GetHistogram("gc.collection_live_bytes");
-}
-
 void Collector::SaveState(SnapshotWriter& w) const {
   ODBGC_CHECK_MSG(!journal_.pending,
                   "checkpoint with a pending GC recovery");
@@ -256,7 +243,6 @@ CollectionReport Collector::ApplyCollection(ObjectStore& store,
     report.crash_point = journal_.point;
     journal_.report = report;
     ODBGC_IF_TEL(tel_) {
-      ti_.crashes->Increment();
       tel_->Instant("crash", {{"partition", partition},
                               {"crash_point", CrashPointName(journal_.point)},
                               {"committed", committed ? 1 : 0}});
@@ -316,13 +302,6 @@ CollectionReport Collector::ApplyCollection(ObjectStore& store,
   const IoStats after_io = store.io_stats();
   report.gc_reads = after_io.gc_reads - before_io.gc_reads;
   report.gc_writes = after_io.gc_writes - before_io.gc_writes;
-  ODBGC_IF_TEL(tel_) {
-    ti_.collections->Increment();
-    ti_.bytes_reclaimed->Add(report.bytes_reclaimed);
-    ti_.gc_io->Record(report.gc_io());
-    ti_.reclaimed->Record(report.bytes_reclaimed);
-    ti_.live->Record(report.bytes_live);
-  }
   return report;
 }
 
@@ -377,18 +356,6 @@ RecoveryReport Collector::Recover(ObjectStore& store) {
     rec.completed = journal_.report;
     rec.completed.gc_reads += rec.gc_reads;
     rec.completed.gc_writes += rec.gc_writes;
-  }
-  ODBGC_IF_TEL(tel_) {
-    ti_.recoveries->Increment();
-    if (rec.rolled_forward) {
-      // The crashed collection completed via redo; account for it the same
-      // way a normal completion would have been.
-      ti_.collections->Increment();
-      ti_.bytes_reclaimed->Add(rec.completed.bytes_reclaimed);
-      ti_.gc_io->Record(rec.completed.gc_io());
-      ti_.reclaimed->Record(rec.completed.bytes_reclaimed);
-      ti_.live->Record(rec.completed.bytes_live);
-    }
   }
   journal_ = Journal{};
   return rec;

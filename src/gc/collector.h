@@ -147,9 +147,9 @@ class Collector {
   // Attaches per-run telemetry (not owned; may be null). A collection
   // records a `collection` span with `scan` / `copy` / `remembered_set`
   // child spans; crashes record an instant and Recover() a `recovery`
-  // span. Collection-shape histograms (gc I/O, reclaimed, live) are kept
-  // as metrics.
-  void AttachTelemetry(obs::Telemetry* telemetry);
+  // span. The collector registers no metric: the simulation publishes its
+  // counts and records the per-collection histograms.
+  void AttachTelemetry(obs::Telemetry* telemetry) { tel_ = telemetry; }
 
  private:
   // Read-only result of marking one partition: everything a collection
@@ -224,15 +224,6 @@ class Collector {
                         uint64_t reclaimed_objects);
 
   obs::Telemetry* tel_ = nullptr;
-  struct TelInstruments {
-    obs::Counter* collections = nullptr;
-    obs::Counter* crashes = nullptr;
-    obs::Counter* recoveries = nullptr;
-    obs::Counter* bytes_reclaimed = nullptr;
-    obs::Histogram* gc_io = nullptr;
-    obs::Histogram* reclaimed = nullptr;
-    obs::Histogram* live = nullptr;
-  } ti_;
 
   uint64_t collections_ = 0;
   uint64_t attempts_ = 0;

@@ -164,7 +164,10 @@ void Simulation::SaveState(SnapshotWriter& w) const {
   // Telemetry travels as a length-prefixed sub-blob: an empty string for
   // telemetry-off runs, so the surrounding layout is version-stable.
   SnapshotWriter tw;
-  if (tel_ != nullptr) tel_->SaveState(tw);
+  if (tel_ != nullptr) {
+    PublishRunTotals();
+    tel_->SaveState(tw);
+  }
   w.Str(tw.Take());
   w.Tag("ENDS");
 }

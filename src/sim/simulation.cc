@@ -96,10 +96,11 @@ void Simulation::InitTelemetry() {
   tel_est_garbage_pct_ =
       tel_->metrics().GetGauge("sim.estimator_garbage_pct");
   tel_est_err_ = tel_->metrics().GetHistogram("sim.estimator_error_pp_x100");
-  tel_pages_scrubbed_ = tel_->metrics().GetCounter("storage.pages_scrubbed");
-  tel_quarantined_ = tel_->metrics().GetCounter("gc.partitions_quarantined");
-  tel_repaired_ = tel_->metrics().GetCounter("repair.partitions_repaired");
-  tel_repair_pages_ = tel_->metrics().GetCounter("repair.pages_rewritten");
+  tel_collection_io_ = tel_->metrics().GetHistogram("gc.collection_io_ops");
+  tel_collection_reclaimed_ =
+      tel_->metrics().GetHistogram("gc.collection_reclaimed_bytes");
+  tel_collection_live_ =
+      tel_->metrics().GetHistogram("gc.collection_live_bytes");
   tel_stall_gc_copy_ = tel_->metrics().GetHistogram("stall.gc_copy_io");
   tel_stall_scrub_ =
       tel_->metrics().GetHistogram("stall.scrub_read_through_io");
@@ -109,6 +110,42 @@ void Simulation::InitTelemetry() {
   collector_.AttachTelemetry(tel_.get());
   policy_->AttachTelemetry(tel_.get());
 #endif
+}
+
+void Simulation::PublishRunTotals() const {
+  const IoStats& io = store_->io_stats();
+  const BufferPool& pool = store_->buffer_pool();
+  const struct {
+    const char* id;
+    uint64_t value;
+  } totals[] = {
+      // Page transfers include retries, so they sum to app_io / gc_io.
+      {"storage.page_reads.app", io.app_reads},
+      {"storage.page_reads.gc", io.gc_reads},
+      {"storage.page_writes.app", io.app_writes},
+      {"storage.page_writes.gc", io.gc_writes},
+      {"storage.buffer.hits", pool.hits()},
+      {"storage.buffer.misses", pool.misses()},
+      {"storage.fault.retries", io.retries_total()},
+      {"storage.fault.permanent_failures",
+       io.read_failures + io.write_failures},
+      {"storage.fault.torn_writes", io.torn_writes},
+      {"storage.fault.torn_repairs", io.torn_repairs},
+      {"storage.checksum_failures", io.checksum_failures},
+      {"storage.fault.bitflips", io.bitflips},
+      {"storage.fault.device_faults", io.device_faults},
+      {"gc.collections", collector_.collections_performed()},
+      {"gc.crashes", collector_.crashes_injected()},
+      {"gc.recoveries", result_.recoveries},
+      {"gc.bytes_reclaimed", result_.total_reclaimed_bytes},
+      {"storage.pages_scrubbed", result_.pages_scrubbed},
+      {"gc.partitions_quarantined", result_.partitions_quarantined},
+      {"repair.partitions_repaired", result_.partitions_repaired},
+      {"repair.pages_rewritten", result_.repair_pages_rewritten},
+  };
+  for (const auto& total : totals) {
+    tel_->metrics().GetCounter(total.id)->value = total.value;
+  }
 }
 
 void Simulation::ConfigureCollector() {
@@ -143,7 +180,6 @@ void Simulation::DrainCorruption() {
     q.kind = ev.kind;
     result_.quarantine_log.push_back(q);
     ODBGC_IF_TEL(tel_.get()) {
-      tel_quarantined_->Increment();
       tel_->Instant("quarantine",
                     {{"partition", p},
                      {"page", ev.page.page_index},
@@ -178,10 +214,7 @@ void Simulation::RepairQuarantined() {
       pool.WriteThrough(PageId{pid, pg}, IoContext::kCollector);
     }
     result_.repair_pages_rewritten += used_pages;
-    ODBGC_IF_TEL(tel_.get()) {
-      tel_repair_pages_->Add(used_pages);
-      tel_stall_repair_->Record(used_pages);
-    }
+    ODBGC_IF_TEL(tel_.get()) { tel_stall_repair_->Record(used_pages); }
   }
   // One pass rebuilds every partition's derived state (reverse index,
   // backrefs, cross-partition counters, free-space index) from the
@@ -198,7 +231,6 @@ void Simulation::RepairQuarantined() {
         break;
       }
     }
-    ODBGC_IF_TEL(tel_.get()) { tel_repaired_->Increment(); }
     if (config_.verify_after_repair) {
       VerifierReport vr = VerifyPartition(*store_, pid);
       ++result_.verifier_runs;
@@ -219,10 +251,7 @@ void Simulation::SelfHealTick() {
         scrubber_.ScrubQuantum(*store_, config_.scrub_pages_per_quantum);
     result_.pages_scrubbed += sr.pages_scrubbed;
     ODBGC_IF_TEL(tel_.get()) {
-      tel_pages_scrubbed_->Add(sr.pages_scrubbed);
-      if (sr.pages_scrubbed > 0) {
-        tel_stall_scrub_->Record(sr.pages_scrubbed);
-      }
+      if (sr.pages_scrubbed > 0) tel_stall_scrub_->Record(sr.pages_scrubbed);
     }
     DrainCorruption();
   }
@@ -338,6 +367,11 @@ bool Simulation::CollectOne(PartitionSelector& selector,
     passive->OnCollection(info);
   }
 
+  ODBGC_IF_TEL(tel_.get()) {
+    tel_collection_io_->Record(report->gc_io());
+    tel_collection_reclaimed_->Record(report->bytes_reclaimed);
+    tel_collection_live_->Record(report->bytes_live);
+  }
   UpdateClock();
   result_.total_reclaimed_bytes += report->bytes_reclaimed;
   result_.total_reclaimed_objects += report->objects_reclaimed;
@@ -468,6 +502,7 @@ void Simulation::StageDecisionContext(obs::DecisionLedger& ledger,
 }
 
 void Simulation::TakeTimeSeriesSample(obs::TimeSeriesSampler& sampler) {
+  PublishRunTotals();
   sampler.Sample(clock_.events, tel_->now(), result_.collections,
                  tel_->metrics());
   tel_->Instant("timeseries_sample",
@@ -641,6 +676,7 @@ SimResult Simulation::Finish() {
       tel_->End("phase");
       tel_phase_span_open_ = false;
     }
+    PublishRunTotals();
     result_.telemetry = tel_->Snapshot();
     if (const obs::DecisionLedger* ledger = tel_->ledger()) {
       result_.decisions = ledger->Records();

@@ -91,7 +91,11 @@ class Simulation {
 
   // The run's telemetry context; null unless config.telemetry.any() (or
   // when telemetry is compiled out). Valid for the simulation's lifetime,
-  // so callers may export its trace after Finish().
+  // so callers may export its trace after Finish(). The counters that
+  // mirror run totals (page transfers, buffer hits and misses, faults,
+  // collections, repairs) are current as of the last time-series frame,
+  // checkpoint or Finish(), and absent before the first; see
+  // PublishRunTotals.
   obs::Telemetry* telemetry() { return tel_.get(); }
 
   // Attaches a live progress reporter (not owned; may be null). Fed a
@@ -180,6 +184,13 @@ class Simulation {
   // Creates the telemetry context when the config enables it and attaches
   // it to the store's buffer pool, the collector and the policy.
   void InitTelemetry();
+  // Copies the run totals the registry mirrors (IoStats, the pool's hits
+  // and misses, the collector's counts, SimResult rows) into their
+  // counters, registering them on first use. Each total is counted once,
+  // by its owner; this runs right before every read of the registry: a
+  // time-series frame, Finish's snapshot and a checkpoint's telemetry
+  // blob. Const because the copy only catches up with the run's state.
+  void PublishRunTotals() const;
   // Creates the pressure governor and its emergency selector when
   // config.governor.enabled.
   void InitGovernor();
@@ -201,10 +212,10 @@ class Simulation {
   obs::Gauge* tel_garbage_pct_ = nullptr;
   obs::Gauge* tel_est_garbage_pct_ = nullptr;
   obs::Histogram* tel_est_err_ = nullptr;
-  obs::Counter* tel_pages_scrubbed_ = nullptr;
-  obs::Counter* tel_quarantined_ = nullptr;
-  obs::Counter* tel_repaired_ = nullptr;
-  obs::Counter* tel_repair_pages_ = nullptr;
+  // Per-completed-collection shape: gc I/O, bytes reclaimed, bytes live.
+  obs::Histogram* tel_collection_io_ = nullptr;
+  obs::Histogram* tel_collection_reclaimed_ = nullptr;
+  obs::Histogram* tel_collection_live_ = nullptr;
   // Stall attribution: app-visible I/O stalls bucketed by cause
   // (docs/OBSERVABILITY.md). The fault-retry cause lives in BufferPool.
   obs::Histogram* tel_stall_gc_copy_ = nullptr;

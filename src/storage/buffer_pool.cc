@@ -41,22 +41,8 @@ void BufferPool::ResetFreeList() {
 void BufferPool::AttachTelemetry(obs::Telemetry* telemetry) {
   tel_ = telemetry;
   if (tel_ == nullptr) return;
-  obs::MetricsRegistry& m = tel_->metrics();
-  tc_.reads_app = m.GetCounter("storage.page_reads.app");
-  tc_.reads_gc = m.GetCounter("storage.page_reads.gc");
-  tc_.writes_app = m.GetCounter("storage.page_writes.app");
-  tc_.writes_gc = m.GetCounter("storage.page_writes.gc");
-  tc_.hits = m.GetCounter("storage.buffer.hits");
-  tc_.misses = m.GetCounter("storage.buffer.misses");
-  tc_.evictions = m.GetCounter("storage.buffer.evictions");
-  tc_.fault_retries = m.GetCounter("storage.fault.retries");
-  tc_.fault_permanent = m.GetCounter("storage.fault.permanent_failures");
-  tc_.torn_writes = m.GetCounter("storage.fault.torn_writes");
-  tc_.torn_repairs = m.GetCounter("storage.fault.torn_repairs");
-  tc_.checksum_failures = m.GetCounter("storage.checksum_failures");
-  tc_.bitflips = m.GetCounter("storage.fault.bitflips");
-  tc_.device_faults = m.GetCounter("storage.fault.device_faults");
-  tc_.fault_retry_stall = m.GetHistogram("stall.fault_retry_io");
+  tel_evictions_ = tel_->metrics().GetCounter("storage.buffer.evictions");
+  tel_retry_stall_ = tel_->metrics().GetHistogram("stall.fault_retry_io");
 }
 
 void BufferPool::RecordTransfer(PageId page, IoContext ctx, bool is_write) {
@@ -67,9 +53,6 @@ void BufferPool::RecordTransfer(PageId page, IoContext ctx, bool is_write) {
   if (disk_ != nullptr) disk_->OnTransfer(page, ctx);
   ODBGC_IF_TEL(tel_) {
     tel_->Advance();  // one logical microsecond per physical transfer
-    (is_write ? (app ? tc_.writes_app : tc_.writes_gc)
-              : (app ? tc_.reads_app : tc_.reads_gc))
-        ->Increment();
     if (tel_->page_events()) {
       tel_->Instant(is_write ? "page_write" : "page_read",
                     {{"partition", page.partition},
@@ -125,23 +108,13 @@ void BufferPool::RecordTransfer(PageId page, IoContext ctx, bool is_write) {
   ODBGC_IF_TEL(tel_) {
     if (outcome.retries > 0) {
       tel_->Advance(outcome.retries);  // retries are real transfers
-      tc_.fault_retries->Add(outcome.retries);
-      if (app) tc_.fault_retry_stall->Record(outcome.retries);
+      if (app) tel_retry_stall_->Record(outcome.retries);
       tel_->Instant("fault_retry", {{"partition", page.partition},
                                     {"page", page.page_index},
                                     {"retries", outcome.retries},
                                     {"permanent", outcome.permanent ? 1 : 0}});
     }
-    if (outcome.permanent) tc_.fault_permanent->Increment();
-    if (outcome.torn) tc_.torn_writes->Increment();
-    if (outcome.repaired_tear) {
-      tel_->Advance();  // the repair write
-      tc_.torn_repairs->Increment();
-      (app ? tc_.writes_app : tc_.writes_gc)->Increment();
-    }
-    if (outcome.bitflipped) tc_.bitflips->Increment();
-    if (outcome.corrupt) tc_.checksum_failures->Increment();
-    if (outcome.dead) tc_.device_faults->Increment();
+    if (outcome.repaired_tear) tel_->Advance();  // the repair write
   }
 }
 

@@ -66,7 +66,6 @@ class BufferPool {
                                page.page_index];
       if (f != kNoFrame) {
         ++hits_;
-        ODBGC_IF_TEL(tel_) { tc_.hits->Increment(); }
         frames_[f].dirty = frames_[f].dirty || dirty;
         if (lru_head_ != f) {
           Unlink(f);
@@ -121,10 +120,12 @@ class BufferPool {
   void AttachFaultInjector(FaultInjector* injector) { fault_ = injector; }
 
   // Attaches per-run telemetry (not owned; may be null). Every physical
-  // transfer advances the telemetry timebase by one tick, bumps the
-  // storage counters, and — when page events are enabled — records a
-  // page_read/page_write instant. Counter handles are resolved here,
-  // once, so the hot path is a null check plus plain increments.
+  // transfer advances the telemetry timebase by one tick and, when page
+  // events are enabled, records a page_read/page_write instant. The pool
+  // registers only what nothing else counts: `storage.buffer.evictions`
+  // and the `stall.fault_retry_io` histogram. Its transfer, hit, miss and
+  // fault totals reach the registry from stats(), hits() and misses(),
+  // which the simulation copies in before each registry read.
   void AttachTelemetry(obs::Telemetry* telemetry);
 
   // Damage detections (checksum mismatches, dead-device transfers) since
@@ -183,7 +184,6 @@ class BufferPool {
   // workloads) take this path every other touch.
   void AccessMiss(PageId page, bool dirty, IoContext ctx) {
     ++misses_;
-    ODBGC_IF_TEL(tel_) { tc_.misses->Increment(); }
     CountRead(page, ctx);
     int32_t fresh;
     if (resident_ >= frame_count_) {
@@ -198,7 +198,7 @@ class BufferPool {
       ODBGC_CHECK_MSG(victim != kNoFrame,
                       "every buffer frame is pinned; cannot evict");
       if (frames_[victim].dirty) CountWrite(frames_[victim].page, ctx);
-      ODBGC_IF_TEL(tel_) { tc_.evictions->Increment(); }
+      ODBGC_IF_TEL(tel_) { tel_evictions_->Increment(); }
       ClearSlot(frames_[victim].page);
       if (lru_head_ != victim) {
         Unlink(victim);
@@ -291,26 +291,11 @@ class BufferPool {
   DiskModel* disk_ = nullptr;
   FaultInjector* fault_ = nullptr;
   obs::Telemetry* tel_ = nullptr;
-  // Counter handles cached at AttachTelemetry (valid iff tel_ != null).
-  struct TelCounters {
-    obs::Counter* reads_app = nullptr;
-    obs::Counter* reads_gc = nullptr;
-    obs::Counter* writes_app = nullptr;
-    obs::Counter* writes_gc = nullptr;
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Counter* fault_retries = nullptr;
-    obs::Counter* fault_permanent = nullptr;
-    obs::Counter* torn_writes = nullptr;
-    obs::Counter* torn_repairs = nullptr;
-    obs::Counter* checksum_failures = nullptr;
-    obs::Counter* bitflips = nullptr;
-    obs::Counter* device_faults = nullptr;
-    // Stall attribution: retry counts of application-context transfers
-    // that hit transient faults (gc-context retries are not app-visible).
-    obs::Histogram* fault_retry_stall = nullptr;
-  } tc_;
+  // Instrument handles cached at AttachTelemetry (valid iff tel_ != null).
+  obs::Counter* tel_evictions_ = nullptr;
+  // Stall attribution: retry counts of application-context transfers
+  // that hit transient faults (gc-context retries are not app-visible).
+  obs::Histogram* tel_retry_stall_ = nullptr;
   std::vector<Frame> frames_;
   int32_t lru_head_ = kNoFrame;  // most recently used
   int32_t lru_tail_ = kNoFrame;  // least recently used

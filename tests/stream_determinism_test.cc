@@ -157,7 +157,13 @@ void ExpectCrashResumeStreamsIdentical(SimConfig cfg,
   std::shared_ptr<const Trace> trace = GenerateOo7Trace(params, seed);
   ApplyRunSeeds(&cfg, seed);
 
-  Streams golden = StreamsOf(Simulation(cfg).Run(*trace));
+  const SimResult uninterrupted = Simulation(cfg).Run(*trace);
+  // A plan with transient faults must actually retry, so checkpoints are
+  // written while retries are being charged.
+  if (cfg.store.fault.read_fault_prob > 0.0) {
+    ASSERT_GT(uninterrupted.io_retries, 0u) << tag;
+  }
+  Streams golden = StreamsOf(uninterrupted);
   ASSERT_FALSE(golden.decisions.empty());
 
   const std::string ckpt = TempPath(tag + ".ckpt");
@@ -197,6 +203,17 @@ TEST(StreamDeterminismTest, SaioCrashResumeStreamsByteIdentical) {
   SKIP_WITHOUT_TELEMETRY();
   ExpectCrashResumeStreamsIdentical(TinyStreamingConfig(PolicyKind::kSaio),
                                     "saio_streams");
+}
+
+// Under transient faults the registry's page counters include the
+// retries (they are copied from IoStats), and the resumed run must still
+// export the streams of the run left uninterrupted.
+TEST(StreamDeterminismTest, SaioFaultedCrashResumeStreamsByteIdentical) {
+  SKIP_WITHOUT_TELEMETRY();
+  SimConfig cfg = TinyStreamingConfig(PolicyKind::kSaio);
+  cfg.store.fault.read_fault_prob = 0.02;
+  cfg.store.fault.write_fault_prob = 0.01;
+  ExpectCrashResumeStreamsIdentical(cfg, "saio_faulted_streams");
 }
 
 // A telemetry-off resume of a telemetry-on checkpoint must load cleanly
