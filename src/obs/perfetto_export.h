@@ -13,7 +13,7 @@ namespace odbgc::obs {
 struct TraceThread {
   const TraceRecorder* recorder = nullptr;
   int tid = 0;
-  std::string name;  // thread_name metadata ("simulation", "worker-3")
+  std::string name;  // thread_name metadata ("simulation")
 };
 
 // Serializes recorders into the Chrome trace_event JSON object format
@@ -21,8 +21,9 @@ struct TraceThread {
 // chrome://tracing. Every event carries the required ph/ts/pid/tid
 // fields; build provenance and the per-recorder dropped-event counts go
 // into "otherData". `ts` is whatever timebase the recorders used
-// (deterministic sim ticks for Simulation traces, wall microseconds for
-// sweep profiles); "displayTimeUnit" is ms either way.
+// (deterministic sim ticks for Simulation traces); "displayTimeUnit" is
+// ms. Several threads can share one trace, as a wall-clock profile with
+// one thread per worker would.
 std::string ChromeTraceJson(const std::vector<TraceThread>& threads,
                             const std::string& process_name = "odbgc");
 

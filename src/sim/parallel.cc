@@ -1,10 +1,11 @@
 #include "sim/parallel.h"
 
+#include <chrono>
 #include <exception>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
-#include "obs/perfetto_export.h"
 #include "obs/progress.h"
 #include "oo7/generator.h"
 #include "sim/checkpoint.h"
@@ -138,46 +139,6 @@ int ValidatedThreadCount(int threads) {
 SweepRunner::SweepRunner(int threads)
     : pool_(ValidatedThreadCount(threads)) {}
 
-uint64_t SweepRunner::NowMicros() const {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start_)
-          .count());
-}
-
-void SweepRunner::EnableTracing(size_t max_events_per_worker) {
-  if (!recorders_.empty()) return;
-  const size_t slots = static_cast<size_t>(pool_.size()) + 1;
-  recorders_.reserve(slots);
-  for (size_t i = 0; i < slots; ++i) {
-    recorders_.push_back(
-        std::make_unique<obs::TraceRecorder>(max_events_per_worker));
-  }
-}
-
-obs::TraceRecorder* SweepRunner::recorder_for_current_worker() {
-  if (recorders_.empty()) return nullptr;
-  int idx = ThreadPool::current_worker_index();
-  // Non-worker threads (the submitter running RunOne directly) share the
-  // extra last slot.
-  if (idx < 0 || idx >= pool_.size()) idx = pool_.size();
-  return recorders_[static_cast<size_t>(idx)].get();
-}
-
-bool SweepRunner::ExportTrace(const std::string& path) const {
-  if (recorders_.empty()) return false;
-  std::vector<obs::TraceThread> threads;
-  threads.reserve(recorders_.size());
-  for (size_t i = 0; i < recorders_.size(); ++i) {
-    std::string name = i < recorders_.size() - 1
-                           ? "worker-" + std::to_string(i)
-                           : "submitter";
-    threads.push_back(obs::TraceThread{recorders_[i].get(),
-                                       static_cast<int>(i + 1), name});
-  }
-  return obs::WriteChromeTrace(threads, path, "odbgc-sweep");
-}
-
 std::vector<SimResult> SweepRunner::Run(const std::vector<SweepPoint>& points) {
   // Fail-fast wrapper: figure harnesses treat any run failure as fatal.
   std::vector<RunOutcome> outcomes = RunWithStatus(points, SweepOptions{});
@@ -222,20 +183,11 @@ std::vector<RunOutcome> SweepRunner::RunWithStatus(
       out.status.attempts = attempt;
       bool transient = false;
       try {
-        obs::TraceRecorder* rec = recorder_for_current_worker();
-        if (rec != nullptr) {
-          rec->Begin("get_trace", NowMicros(), {{"seed", p.seed}});
-        }
         std::shared_ptr<const Trace> trace = cache_.GetOo7(p.params, p.seed);
-        if (rec != nullptr) rec->End("get_trace", NowMicros());
         SimConfig cfg = p.config;
         ApplyRunSeeds(&cfg, p.seed);  // as RunOo7Once
         if (options.run_deadline_ms > 0.0) {
           cfg.deadline_ms = options.run_deadline_ms;
-        }
-        if (rec != nullptr) {
-          rec->Begin("run_simulation", NowMicros(),
-                     {{"point", i}, {"seed", p.seed}});
         }
         const bool checkpointing = !options.checkpoint_prefix.empty() &&
                                    options.checkpoint_every > 0;
@@ -249,10 +201,6 @@ std::vector<RunOutcome> SweepRunner::RunWithStatus(
           out.result = sim->RunFrom(*trace, ckpt, options.checkpoint_every);
         } else {
           out.result = RunSimulation(cfg, *trace);
-        }
-        if (rec != nullptr) {
-          rec->End("run_simulation", NowMicros(),
-                   {{"collections", out.result.collections}});
         }
         out.status.failed = false;
         out.status.message.clear();

@@ -1,7 +1,6 @@
 #ifndef ODBGC_SIM_PARALLEL_H_
 #define ODBGC_SIM_PARALLEL_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -12,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/trace_recorder.h"
 #include "oo7/params.h"
 #include "sim/config.h"
 #include "sim/errors.h"
@@ -201,35 +199,13 @@ class SweepRunner {
   AggregateResult RunMany(const SimConfig& config, const Oo7Params& params,
                           uint64_t base_seed, int num_runs);
 
-  // --- sweep profiling / progress (both off by default) ---
-  //
-  // Profiling records one wall-clock-timed recorder per worker (spans:
-  // get_trace, run_simulation). It observes the sweep, never the runs:
-  // SimResults remain byte-identical for any thread count; only the
-  // profile's timestamps vary run to run (they are wall time by nature).
-  void EnableTracing(size_t max_events_per_worker =
-                         obs::TraceRecorder::kDefaultMaxEvents);
-  bool tracing_enabled() const { return !recorders_.empty(); }
-  // Merges the per-worker recorders into one Chrome trace (tid = worker
-  // index). False if tracing was never enabled or the write failed.
-  bool ExportTrace(const std::string& path) const;
-
   // Live "done/total runs" lines on `out` (stderr by convention) as
   // workers finish; null disables.
   void set_progress_stream(std::FILE* out) { progress_out_ = out; }
 
  private:
-  // Wall microseconds since construction (profiling timebase).
-  uint64_t NowMicros() const;
-  obs::TraceRecorder* recorder_for_current_worker();
-
   ThreadPool pool_;
   TraceCache cache_;
-  std::chrono::steady_clock::time_point start_ =
-      std::chrono::steady_clock::now();
-  // One recorder per worker plus one for the submitting thread (last
-  // slot); empty unless EnableTracing was called.
-  std::vector<std::unique_ptr<obs::TraceRecorder>> recorders_;
   std::FILE* progress_out_ = nullptr;
 };
 

@@ -49,7 +49,7 @@ class ThreadPool {
 
   // Index of the pool worker running the current thread (0-based), or -1
   // when called from a thread that is not a pool worker (e.g. the
-  // submitter). SweepRunner uses it to pick a per-worker trace recorder.
+  // submitter, which runs ParallelFor's `overlap`).
   static int current_worker_index();
 
  private:

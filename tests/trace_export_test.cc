@@ -208,39 +208,6 @@ TEST(TraceExportTest, TracesAreIdenticalAcrossSweepThreadCounts) {
   }
 }
 
-TEST(TraceExportTest, SweepProfilingTraceExportsValidJson) {
-  SweepRunner runner(2);
-  runner.EnableTracing();
-  std::vector<SweepPoint> points;
-  for (uint64_t seed = 1; seed <= 3; ++seed) {
-    points.push_back(SweepPoint{TinyConfig(), Oo7Params::Tiny(), seed});
-  }
-  runner.Run(points);
-  ASSERT_TRUE(runner.tracing_enabled());
-
-  std::string path = ::testing::TempDir() + "/sweep_trace.json";
-  ASSERT_TRUE(runner.ExportTrace(path));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(JsonValue::Parse(text, &doc, &error)) << error;
-  size_t run_spans = 0;
-  for (const JsonValue& e : doc.Find("traceEvents")->array_items()) {
-    if (e.Find("name")->string_value() == "run_simulation" &&
-        e.Find("ph")->string_value() == "B") {
-      ++run_spans;
-    }
-  }
-  EXPECT_EQ(run_spans, points.size());
-}
-
 TEST(ReportJsonTest, MeasurementWindowFallbackIsExplicit) {
   // A run too short to ever open the measurement window must say so
   // instead of silently reporting whole-run numbers.

@@ -1,5 +1,5 @@
 // odbgc_tracecheck — validate a Chrome/Perfetto trace_event JSON file
-// produced by odbgc_run --trace-out (or SweepRunner::ExportTrace).
+// produced by odbgc_run --trace-out.
 //
 //   odbgc_tracecheck run.json
 //   odbgc_tracecheck --require-span=collection --require-span=scan t.json
@@ -33,10 +33,9 @@ namespace {
 // Grown alongside the emit sites; docs/OBSERVABILITY.md carries the
 // same table with the meaning of each.
 const char* const kKnownSpanNames[] = {
-    "collection",     "copy",   "get_trace",
-    "idle_period",    "phase",  "recovery",
-    "remembered_set", "repair", "run_simulation",
-    "scan",           "verifier",
+    "collection", "copy",           "idle_period", "phase",
+    "recovery",   "remembered_set", "repair",      "scan",
+    "verifier",
 };
 const char* const kKnownInstantNames[] = {
     "collection_aborted_corrupt",
