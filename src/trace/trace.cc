@@ -77,7 +77,9 @@ bool Trace::SaveTo(const std::string& path) const {
     uint32_t rec[5] = {static_cast<uint32_t>(e.kind), e.a, e.b, e.c, e.d};
     if (std::fwrite(rec, sizeof(rec), 1, f.get()) != 1) return false;
   }
-  return true;
+  // A trace smaller than the stdio buffer is only written at fclose, so
+  // a full disk shows up in its result.
+  return std::fclose(f.release()) == 0;
 }
 
 const char* TraceLoadErrorName(TraceLoadError e) {

@@ -37,6 +37,7 @@
 #include "storage/verifier.h"
 #include "tools/tool_common.h"
 #include "trace/trace.h"
+#include "util/file.h"
 #include "util/flags.h"
 
 namespace {
@@ -52,32 +53,33 @@ using odbgc::tools::kExitSpaceExhausted;
 
 bool DumpCollectionLogCsv(const odbgc::SimResult& result,
                           const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f,
-               "collection,phase,overwrite_time,app_io,gc_io_delta,"
-               "partition,bytes_reclaimed,bytes_live,db_used_bytes,"
-               "actual_garbage_pct,estimated_garbage_pct,"
-               "target_garbage_pct,next_dt\n");
+  std::string csv =
+      "collection,phase,overwrite_time,app_io,gc_io_delta,"
+      "partition,bytes_reclaimed,bytes_live,db_used_bytes,"
+      "actual_garbage_pct,estimated_garbage_pct,"
+      "target_garbage_pct,next_dt\n";
+  // Holds any row: a finite double at %.4f is at most 316 bytes, an
+  // integer 20.
+  char row[2048];
   for (const odbgc::CollectionRecord& r : result.log) {
-    std::fprintf(f,
-                 "%llu,%s,%llu,%llu,%llu,%u,%llu,%llu,%llu,%.4f,%.4f,"
-                 "%.4f,%llu\n",
-                 static_cast<unsigned long long>(r.index),
-                 odbgc::PhaseName(r.phase).c_str(),
-                 static_cast<unsigned long long>(r.overwrite_time),
-                 static_cast<unsigned long long>(r.app_io),
-                 static_cast<unsigned long long>(r.gc_io_delta),
-                 r.partition,
-                 static_cast<unsigned long long>(r.bytes_reclaimed),
-                 static_cast<unsigned long long>(r.bytes_live),
-                 static_cast<unsigned long long>(r.db_used_bytes),
-                 r.actual_garbage_pct, r.estimated_garbage_pct,
-                 r.target_garbage_pct,
-                 static_cast<unsigned long long>(r.next_dt));
+    std::snprintf(row, sizeof(row),
+                  "%llu,%s,%llu,%llu,%llu,%u,%llu,%llu,%llu,%.4f,%.4f,"
+                  "%.4f,%llu\n",
+                  static_cast<unsigned long long>(r.index),
+                  odbgc::PhaseName(r.phase).c_str(),
+                  static_cast<unsigned long long>(r.overwrite_time),
+                  static_cast<unsigned long long>(r.app_io),
+                  static_cast<unsigned long long>(r.gc_io_delta),
+                  r.partition,
+                  static_cast<unsigned long long>(r.bytes_reclaimed),
+                  static_cast<unsigned long long>(r.bytes_live),
+                  static_cast<unsigned long long>(r.db_used_bytes),
+                  r.actual_garbage_pct, r.estimated_garbage_pct,
+                  r.target_garbage_pct,
+                  static_cast<unsigned long long>(r.next_dt));
+    csv += row;
   }
-  std::fclose(f);
-  return true;
+  return odbgc::WriteWholeFile(path, csv);
 }
 
 // Sweep mode (--runs=N): fans N seeds of the OO7 workload across a
