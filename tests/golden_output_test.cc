@@ -21,8 +21,10 @@
 #include "oo7/generator.h"
 #include "sim/checkpoint.h"
 #include "sim/report.h"
+#include "sim/runner.h"
 #include "sim/simulation.h"
 #include "storage/buffer_pool.h"
+#include "tests/checkpoint_cases.h"
 #include "tests/golden_util.h"
 #include "tools/tool_common.h"
 #include "util/flags.h"
@@ -447,6 +449,44 @@ TEST(GoldenOutputTest, CollectionPathsAreByteIdentical) {
     out += line;
   }
   CheckAgainstGolden("collection_paths.jsonl", out);
+}
+
+// --- The checkpoint payload ---
+//
+// One line per case of tests/checkpoint_cases.h: its name, the size and
+// the FNV-1a digest of Simulation::SaveState's payload at mid-trace on
+// OO7 Tiny. A component whose save and restore agree with each other
+// but not with the format (two members swapped in its one list) passes
+// every resume test; only this pin sees it. A line that moves is a
+// checkpoint format change, which needs a kCheckpointVersion bump.
+
+TEST(GoldenOutputTest, CheckpointPayloadsAreStable) {
+#if !ODBGC_TELEMETRY
+  GTEST_SKIP() << "a case checkpoints telemetry state";
+#endif
+  std::shared_ptr<const Trace> trace =
+      GenerateOo7Trace(Oo7Params::Tiny(), kCheckpointCaseSeed);
+  const uint64_t mid = trace->size() / 2;
+  std::string out;
+  for (const CheckpointCase& c : CheckpointCases()) {
+    SimConfig cfg = c.config;
+    ApplyRunSeeds(&cfg, kCheckpointCaseSeed);
+    Simulation sim(cfg);
+    for (uint64_t i = 0; i < mid; ++i) sim.Apply((*trace)[i]);
+    SnapshotWriter w;
+    sim.SaveState(w);
+    const SimResult at_checkpoint = sim.Finish();
+    EXPECT_GT(at_checkpoint.collections, 0u) << c.name;
+    if (c.reached != nullptr) {
+      EXPECT_TRUE(c.reached(at_checkpoint)) << c.name;
+    }
+    char line[128];
+    std::snprintf(line, sizeof(line), "%s %zu %016" PRIx64, c.name,
+                  w.data().size(), Fnv1a(w.data()));
+    if (!out.empty()) out += "\n";
+    out += line;
+  }
+  CheckAgainstGolden("checkpoint_digests.txt", out);
 }
 
 // --- The checkpoint config fingerprint ---
