@@ -54,10 +54,4 @@ void TraceRecorder::Instant(const char* name, uint64_t ts,
   Append('i', name, ts, args);
 }
 
-void TraceRecorder::CounterSample(const char* name, uint64_t ts,
-                                  double value) {
-  if (!Admit()) return;
-  Append('C', name, ts, {TraceArg{"value", value}});
-}
-
 }  // namespace odbgc::obs

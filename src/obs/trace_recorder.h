@@ -31,7 +31,7 @@ struct TraceArg {
 
 // One recorded event, 1:1 with a Chrome trace_event entry. `ph` follows
 // the trace-event vocabulary: 'B'/'E' nested span begin/end, 'i'
-// instant, 'C' counter sample.
+// instant.
 struct TraceEventRec {
   char ph = 'i';
   const char* name = "";
@@ -62,7 +62,6 @@ class TraceRecorder {
            std::initializer_list<TraceArg> args = {});
   void Instant(const char* name, uint64_t ts,
                std::initializer_list<TraceArg> args = {});
-  void CounterSample(const char* name, uint64_t ts, double value);
 
   const std::vector<TraceEventRec>& events() const { return events_; }
   size_t size() const { return events_.size(); }
