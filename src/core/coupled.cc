@@ -77,20 +77,6 @@ void CoupledIoPolicy::RecordDecision(double scale, double delta_app_io,
   }
 }
 
-void CoupledIoPolicy::SaveState(SnapshotWriter& w) const {
-  window_.SaveState(w);
-  w.U64(next_app_io_threshold_);
-  w.F64(last_effective_frac_);
-  estimator_->SaveState(w);
-}
-
-void CoupledIoPolicy::RestoreState(SnapshotReader& r) {
-  window_.RestoreState(r);
-  next_app_io_threshold_ = r.U64();
-  last_effective_frac_ = r.F64();
-  estimator_->RestoreState(r);
-}
-
 std::string CoupledIoPolicy::name() const {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "CoupledIO(frac=%.3f,ref=%.3f,%s)",

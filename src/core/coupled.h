@@ -63,14 +63,20 @@ class CoupledIoPolicy : public RatePolicy {
   uint64_t next_app_io_threshold() const { return next_app_io_threshold_; }
 
   // Serializes the control state and the owned estimator's state.
-  void SaveState(SnapshotWriter& w) const override;
-  void RestoreState(SnapshotReader& r) override;
+  void SaveState(SnapshotWriter& w) const override { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) override { Checkpoint(r, *this); }
 
  private:
   // Out of line so OnCollection's hot path pays only a predicted-not-
   // taken branch, not the trace-argument stack frame.
   void RecordDecision(double scale, double delta_app_io,
                       obs::DecisionReason reason);
+
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.window_, self.next_app_io_threshold_,
+            self.last_effective_frac_, *self.estimator_);
+  }
 
   Options options_;
   std::unique_ptr<GarbageEstimator> estimator_;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "util/fields.h"
 #include "util/snapshot.h"
 
 namespace odbgc {
@@ -93,10 +94,16 @@ class CgsHbEstimator : public GarbageEstimator {
   double history_factor() const { return history_factor_; }
   double smoothed_reclaimed() const { return smoothed_reclaimed_; }
 
-  void SaveState(SnapshotWriter& w) const override;
-  void RestoreState(SnapshotReader& r) override;
+  void SaveState(SnapshotWriter& w) const override { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) override { Checkpoint(r, *this); }
 
  private:
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.smoothed_reclaimed_, self.has_history_,
+            self.partition_count_);
+  }
+
   double history_factor_;
   double smoothed_reclaimed_ = 0.0;
   bool has_history_ = false;
@@ -116,10 +123,15 @@ class CgsCbEstimator : public GarbageEstimator {
   void OnCollection(const EstimatorCollectionInfo& info) override;
   std::string name() const override { return "CGS/CB"; }
 
-  void SaveState(SnapshotWriter& w) const override;
-  void RestoreState(SnapshotReader& r) override;
+  void SaveState(SnapshotWriter& w) const override { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) override { Checkpoint(r, *this); }
 
  private:
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.last_reclaimed_, self.partition_count_);
+  }
+
   uint64_t last_reclaimed_ = 0;
   uint64_t partition_count_ = 0;
 };
@@ -143,10 +155,16 @@ class FgsHbEstimator : public GarbageEstimator {
   double gppo_history() const { return gppo_history_; }
   uint64_t outstanding_overwrites() const { return outstanding_overwrites_; }
 
-  void SaveState(SnapshotWriter& w) const override;
-  void RestoreState(SnapshotReader& r) override;
+  void SaveState(SnapshotWriter& w) const override { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) override { Checkpoint(r, *this); }
 
  private:
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.gppo_history_, self.has_history_,
+            self.per_partition_overwrites_, self.outstanding_overwrites_);
+  }
+
   double history_factor_;
   double gppo_history_ = 0.0;
   bool has_history_ = false;

@@ -42,18 +42,6 @@ std::string CgsHbEstimator::name() const {
   return buf;
 }
 
-void CgsHbEstimator::SaveState(SnapshotWriter& w) const {
-  w.F64(smoothed_reclaimed_);
-  w.Bool(has_history_);
-  w.U64(partition_count_);
-}
-
-void CgsHbEstimator::RestoreState(SnapshotReader& r) {
-  smoothed_reclaimed_ = r.F64();
-  has_history_ = r.Bool();
-  partition_count_ = r.U64();
-}
-
 double CgsCbEstimator::Estimate() const {
   return static_cast<double>(last_reclaimed_) *
          static_cast<double>(partition_count_);
@@ -64,16 +52,6 @@ void CgsCbEstimator::OnPointerOverwrite(uint32_t /*partition*/) {}
 void CgsCbEstimator::OnCollection(const EstimatorCollectionInfo& info) {
   last_reclaimed_ = info.bytes_reclaimed;
   partition_count_ = info.partition_count;
-}
-
-void CgsCbEstimator::SaveState(SnapshotWriter& w) const {
-  w.U64(last_reclaimed_);
-  w.U64(partition_count_);
-}
-
-void CgsCbEstimator::RestoreState(SnapshotReader& r) {
-  last_reclaimed_ = r.U64();
-  partition_count_ = r.U64();
 }
 
 FgsHbEstimator::FgsHbEstimator(double history_factor)
@@ -121,20 +99,6 @@ std::string FgsHbEstimator::name() const {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "FGS/HB(h=%.2f)", history_factor_);
   return buf;
-}
-
-void FgsHbEstimator::SaveState(SnapshotWriter& w) const {
-  w.F64(gppo_history_);
-  w.Bool(has_history_);
-  w.VecU64(per_partition_overwrites_);
-  w.U64(outstanding_overwrites_);
-}
-
-void FgsHbEstimator::RestoreState(SnapshotReader& r) {
-  gppo_history_ = r.F64();
-  has_history_ = r.Bool();
-  per_partition_overwrites_ = r.VecU64();
-  outstanding_overwrites_ = r.U64();
 }
 
 std::unique_ptr<GarbageEstimator> MakeEstimator(EstimatorKind kind,

@@ -157,36 +157,6 @@ void SagaPolicy::OnIdleCollection(const CollectionOutcome& outcome,
   }
 }
 
-void SagaPolicy::SaveState(SnapshotWriter& w) const {
-  w.U64(total_collected_);
-  w.F64(slope_);
-  w.Bool(has_slope_);
-  w.F64(prev_tot_garb_);
-  w.U64(prev_time_);
-  w.Bool(has_prev_point_);
-  w.U64(next_overwrite_threshold_);
-  w.U64(last_dt_);
-  w.U64(dt_min_clamps_);
-  w.U64(dt_max_clamps_);
-  w.Bool(idle_stalled_);
-  estimator_->SaveState(w);
-}
-
-void SagaPolicy::RestoreState(SnapshotReader& r) {
-  total_collected_ = r.U64();
-  slope_ = r.F64();
-  has_slope_ = r.Bool();
-  prev_tot_garb_ = r.F64();
-  prev_time_ = r.U64();
-  has_prev_point_ = r.Bool();
-  next_overwrite_threshold_ = r.U64();
-  last_dt_ = r.U64();
-  dt_min_clamps_ = r.U64();
-  dt_max_clamps_ = r.U64();
-  idle_stalled_ = r.Bool();
-  estimator_->RestoreState(r);
-}
-
 std::string SagaPolicy::name() const {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "SAGA(frac=%.3f,%s)",

@@ -73,14 +73,22 @@ class SagaPolicy : public RatePolicy {
   double slope() const { return slope_; }
 
   // Serializes the control state and the owned estimator's state.
-  void SaveState(SnapshotWriter& w) const override;
-  void RestoreState(SnapshotReader& r) override;
+  void SaveState(SnapshotWriter& w) const override { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) override { Checkpoint(r, *this); }
 
  private:
   // Out of line so OnCollection's hot path pays only a predicted-not-
   // taken branch, not the trace-argument stack frame.
   void RecordDecision(uint64_t dt, double act_garb, double target_garb,
                       obs::DecisionReason reason);
+
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.total_collected_, self.slope_, self.has_slope_,
+            self.prev_tot_garb_, self.prev_time_, self.has_prev_point_,
+            self.next_overwrite_threshold_, self.last_dt_, self.dt_min_clamps_,
+            self.dt_max_clamps_, self.idle_stalled_, *self.estimator_);
+  }
 
   Options options_;
   std::unique_ptr<GarbageEstimator> estimator_;

@@ -32,30 +32,6 @@ SaioWindow::Step SaioWindow::Solve(uint64_t app_io, uint64_t gc_io,
   return Step{period_app_io, delta_app_io, over_budget};
 }
 
-void SaioWindow::SaveState(SnapshotWriter& w) const {
-  w.U64(history_.size());
-  for (const PeriodRecord& p : history_) {
-    w.U64(p.app_io);
-    w.U64(p.gc_io);
-  }
-  w.U64(hist_app_io_sum_);
-  w.U64(hist_gc_io_sum_);
-  w.U64(app_io_at_last_collection_);
-}
-
-void SaioWindow::RestoreState(SnapshotReader& r) {
-  const uint64_t n = r.U64();
-  history_.clear();
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    const uint64_t app_io = r.U64();
-    const uint64_t gc_io = r.U64();
-    history_.push_back(PeriodRecord{app_io, gc_io});
-  }
-  hist_app_io_sum_ = r.U64();
-  hist_gc_io_sum_ = r.U64();
-  app_io_at_last_collection_ = r.U64();
-}
-
 SaioPolicy::SaioPolicy(double io_frac, size_t history_size,
                        uint64_t bootstrap_app_io)
     : io_frac_(io_frac),
@@ -122,22 +98,6 @@ void SaioPolicy::OnIdleCollection(const CollectionOutcome& outcome,
                                   const SimClock& /*clock*/) {
   idle_yield_known_ = true;
   last_idle_yield_ = outcome.bytes_reclaimed;
-}
-
-void SaioPolicy::SaveState(SnapshotWriter& w) const {
-  window_.SaveState(w);
-  w.U64(next_app_io_threshold_);
-  w.U64(last_delta_app_io_);
-  w.Bool(idle_yield_known_);
-  w.U64(last_idle_yield_);
-}
-
-void SaioPolicy::RestoreState(SnapshotReader& r) {
-  window_.RestoreState(r);
-  next_app_io_threshold_ = r.U64();
-  last_delta_app_io_ = r.U64();
-  idle_yield_known_ = r.Bool();
-  last_idle_yield_ = r.U64();
 }
 
 std::string SaioPolicy::name() const {

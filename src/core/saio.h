@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "core/rate_policy.h"
+#include "util/fields.h"
 
 namespace odbgc {
 
@@ -27,6 +28,13 @@ namespace odbgc {
 // SaioWindow keeps the window of (period application I/O, collection GC
 // I/O) and solves the equation; SaioPolicy and CoupledIoPolicy
 // (core/coupled.h) each hold one.
+//
+// One closed period of the window: the application I/O between two
+// collections, and the I/O of the collection that closed it.
+#define ODBGC_SAIO_PERIOD_FIELDS(X) \
+  X(uint64_t, app_io, 0)            \
+  X(uint64_t, gc_io, 0)
+
 class SaioWindow {
  public:
   explicit SaioWindow(size_t history_size) : history_size_(history_size) {}
@@ -44,14 +52,19 @@ class SaioWindow {
 
   size_t history_size() const { return history_size_; }
 
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  void SaveState(SnapshotWriter& w) const { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) { Checkpoint(r, *this); }
 
  private:
   struct PeriodRecord {
-    uint64_t app_io;  // application I/O during the period before a GC
-    uint64_t gc_io;   // that GC's I/O
+    ODBGC_FIELD_TABLE(ODBGC_SAIO_PERIOD_FIELDS)
   };
+
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.history_, self.hist_app_io_sum_, self.hist_gc_io_sum_,
+            self.app_io_at_last_collection_);
+  }
 
   size_t history_size_;
   std::deque<PeriodRecord> history_;
@@ -98,14 +111,21 @@ class SaioPolicy : public RatePolicy {
   uint64_t next_app_io_threshold() const { return next_app_io_threshold_; }
   uint64_t last_delta_app_io() const { return last_delta_app_io_; }
 
-  void SaveState(SnapshotWriter& w) const override;
-  void RestoreState(SnapshotReader& r) override;
+  void SaveState(SnapshotWriter& w) const override { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) override { Checkpoint(r, *this); }
 
  private:
   // Out of line so OnCollection's hot path pays only a predicted-not-
   // taken branch, not the trace-argument stack frame.
   void RecordDecision(uint64_t period_app_io, uint64_t curr_gc_io,
                       bool over_budget);
+
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.window_, self.next_app_io_threshold_,
+            self.last_delta_app_io_, self.idle_yield_known_,
+            self.last_idle_yield_);
+  }
 
   double io_frac_;
   SaioWindow window_;

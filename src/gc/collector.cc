@@ -10,23 +10,11 @@ namespace odbgc {
 void Collector::SaveState(SnapshotWriter& w) const {
   ODBGC_CHECK_MSG(!journal_.pending,
                   "checkpoint with a pending GC recovery");
-  w.Tag("COLL");
-  w.U64(collections_);
-  w.U64(attempts_);
-  w.U64(crashes_);
-  w.Bool(commit_protocol_);
-  SaveField(w, crash_point_);
-  w.U64(crash_attempt_);
+  Checkpoint(w, *this);
 }
 
 void Collector::RestoreState(SnapshotReader& r) {
-  r.Tag("COLL");
-  collections_ = r.U64();
-  attempts_ = r.U64();
-  crashes_ = r.U64();
-  commit_protocol_ = r.Bool();
-  LoadField(r, crash_point_);
-  crash_attempt_ = r.U64();
+  Checkpoint(r, *this);
   journal_ = Journal();
 }
 
@@ -148,12 +136,8 @@ CollectionReport Collector::Collect(ObjectStore& store,
     return report;
   }
   PlanPartition(store, partition, &plan_scratch_);
-  return ApplyCollection(store, partition, plan_scratch_);
-}
+  const CollectionPlan& plan = plan_scratch_;
 
-CollectionReport Collector::ApplyCollection(ObjectStore& store,
-                                            PartitionId partition,
-                                            const CollectionPlan& plan) {
   ++attempts_;
   const bool crash_now =
       crash_point_ != CrashPoint::kNone && attempts_ == crash_attempt_;
@@ -203,16 +187,13 @@ CollectionReport Collector::ApplyCollection(ObjectStore& store,
   }
 
   const std::vector<ObjectId>& copy_order = plan.copy_order;
-  const std::vector<ObjectId>& reclaim = plan.reclaim;
   const uint32_t new_used = plan.new_used;
-  const uint64_t reclaimed_bytes = plan.reclaimed_bytes;
-  const uint64_t live_bytes = new_used;
-  ODBGC_CHECK(report.bytes_before == live_bytes + reclaimed_bytes);
+  ODBGC_CHECK(report.bytes_before == new_used + plan.reclaimed_bytes);
 
-  report.bytes_live = live_bytes;
-  report.bytes_reclaimed = reclaimed_bytes;
+  report.bytes_live = new_used;
+  report.bytes_reclaimed = plan.reclaimed_bytes;
   report.objects_live = copy_order.size();
-  report.objects_reclaimed = reclaim.size();
+  report.objects_reclaimed = plan.reclaim.size();
 
   ODBGC_IF_TEL(tel_) {
     tel_->End("scan", {{"objects_live", report.objects_live},
@@ -226,12 +207,7 @@ CollectionReport Collector::ApplyCollection(ObjectStore& store,
     journal_.committed = committed;
     journal_.point = crash_point;
     journal_.partition = partition;
-    journal_.copy_order = copy_order;
-    journal_.reclaim = reclaim;
-    journal_.new_used = new_used;
-    journal_.live_bytes = live_bytes;
-    journal_.reclaimed_bytes = reclaimed_bytes;
-    journal_.reclaimed_objects = reclaim.size();
+    journal_.plan = plan;
     journal_.dirty_pages_lost = store.buffer_pool().DiscardAll();
     ++crashes_;
     crash_point_ = CrashPoint::kNone;  // single shot
@@ -251,7 +227,7 @@ CollectionReport Collector::ApplyCollection(ObjectStore& store,
   };
 
   // 2. Write the compacted to-space.
-  ODBGC_IF_TEL(tel_) { tel_->Begin("copy", {{"bytes_live", live_bytes}}); }
+  ODBGC_IF_TEL(tel_) { tel_->Begin("copy", {{"bytes_live", new_used}}); }
   if (new_used > 0) {
     store.TouchRange(partition, 0, new_used, /*dirty=*/true,
                      IoContext::kCollector);
@@ -273,7 +249,7 @@ CollectionReport Collector::ApplyCollection(ObjectStore& store,
   }
 
   // 4. Flip: destroy garbage, relocate survivors, drop the stale tail.
-  ApplyFlip(store, partition, copy_order, reclaim, new_used);
+  ApplyFlip(store, partition, plan);
 
   // 5. Remembered-set update: relocation invalidates external pointers
   // into this partition, so the referencing slot of every external source
@@ -296,8 +272,7 @@ CollectionReport Collector::ApplyCollection(ObjectStore& store,
   if (protocol) {
     store.CommitRecordWrite(partition, IoContext::kCollector);
   }
-  FinishCollection(store, partition, copy_order, new_used, reclaimed_bytes,
-                   reclaim.size());
+  FinishCollection(store, partition, plan);
 
   const IoStats after_io = store.io_stats();
   report.gc_reads = after_io.gc_reads - before_io.gc_reads;
@@ -333,8 +308,7 @@ RecoveryReport Collector::Recover(ObjectStore& store) {
     // kMidRememberedSet crashed after it.
     rec.rolled_forward = true;
     if (journal_.point == CrashPoint::kBeforeFlip) {
-      ApplyFlip(store, partition, journal_.copy_order, journal_.reclaim,
-                journal_.new_used);
+      ApplyFlip(store, partition, journal_.plan);
     }
     // Redo every remembered-set update. The update set is recomputed from
     // the survivors' reverse index (external object positions are
@@ -342,11 +316,9 @@ RecoveryReport Collector::Recover(ObjectStore& store) {
     // volatile buffer, so recovery cannot know which rewrites reached
     // disk, and page rewrites are idempotent.
     rec.redo_external_updates = UpdateRememberedSets(
-        store, partition, journal_.copy_order, 0, UINT64_MAX);
+        store, partition, journal_.plan.copy_order, 0, UINT64_MAX);
     store.CommitRecordWrite(partition, IoContext::kCollector);  // clear
-    FinishCollection(store, partition, journal_.copy_order,
-                     journal_.new_used, journal_.reclaimed_bytes,
-                     journal_.reclaimed_objects);
+    FinishCollection(store, partition, journal_.plan);
   }
 
   const IoStats after_io = store.io_stats();
@@ -362,23 +334,22 @@ RecoveryReport Collector::Recover(ObjectStore& store) {
 }
 
 void Collector::ApplyFlip(ObjectStore& store, PartitionId partition,
-                          const std::vector<ObjectId>& copy_order,
-                          const std::vector<ObjectId>& reclaim,
-                          uint32_t new_used) {
+                          const CollectionPlan& plan) {
   // Destroying a garbage object detaches its out-pointers, which may
   // clear external references into other partitions (their floating
   // garbage becomes collectable later).
-  for (ObjectId id : reclaim) store.DestroyObject(id);
+  for (ObjectId id : plan.reclaim) store.DestroyObject(id);
   // Compact survivors in copy order (to-space starts at offset 0).
   uint32_t offset = 0;
-  for (ObjectId id : copy_order) {
+  for (ObjectId id : plan.copy_order) {
     store.Relocate(id, offset);
     offset += store.object(id).size;
   }
-  ODBGC_CHECK(offset == new_used);
+  ODBGC_CHECK(offset == plan.new_used);
   // Pages past the compacted tail no longer exist; drop without flushing.
   const uint32_t page_bytes = store.config().page_bytes;
-  const uint32_t first_dead_page = (new_used + page_bytes - 1) / page_bytes;
+  const uint32_t first_dead_page =
+      (plan.new_used + page_bytes - 1) / page_bytes;
   store.buffer_pool().DropPartitionTail(partition, first_dead_page);
 }
 
@@ -423,15 +394,13 @@ uint64_t Collector::UpdateRememberedSets(ObjectStore& store,
 }
 
 void Collector::FinishCollection(ObjectStore& store, PartitionId partition,
-                                 const std::vector<ObjectId>& copy_order,
-                                 uint32_t new_used, uint64_t reclaimed_bytes,
-                                 uint64_t reclaimed_objects) {
+                                 const CollectionPlan& plan) {
   Partition& part = store.mutable_partition(partition);
   const uint32_t old_used = part.used();
-  part.ResetAfterCollection(copy_order, new_used);
+  part.ResetAfterCollection(plan.copy_order, plan.new_used);
   part.set_last_collected_stamp(++collections_);
-  store.AdjustUsedBytes(partition, old_used, new_used);
-  store.RecordGarbageCollected(reclaimed_bytes, reclaimed_objects);
+  store.AdjustUsedBytes(partition, old_used, plan.new_used);
+  store.RecordGarbageCollected(plan.reclaimed_bytes, plan.reclaim.size());
 }
 
 }  // namespace odbgc

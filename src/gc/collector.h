@@ -9,6 +9,7 @@
 #include "storage/mark_bitmap.h"
 #include "storage/object_store.h"
 #include "storage/types.h"
+#include "util/fields.h"
 #include "util/snapshot.h"
 
 namespace odbgc {
@@ -81,7 +82,7 @@ struct RecoveryReport {
 // layout — no store mutation, no I/O dependence) and an *apply* (the
 // I/O, the flip, the remembered-set rewrite, the bookkeeping). The split
 // keeps every store mutation after the commit point (step 3 below), and
-// the crash journal is a copy of the plan.
+// the crash journal holds a copy of the plan.
 //
 // I/O model: the collector scans the partition's used pages (reads),
 // writes the compacted survivors, and — because relocation changes object
@@ -163,18 +164,14 @@ class Collector {
 
   // Durable commit-record contents, captured at the crash point. In a
   // real system this is the journal page the commit protocol writes; the
-  // simulation keeps it in memory and charges the I/O explicitly.
+  // simulation keeps it in memory and charges the I/O explicitly. Never
+  // checkpointed: SaveState CHECKs that no recovery is pending.
   struct Journal {
     bool pending = false;
     bool committed = false;  // commit record durable at crash time
     CrashPoint point = CrashPoint::kNone;
     PartitionId partition = kInvalidPartition;
-    std::vector<ObjectId> copy_order;  // survivors in to-space order
-    std::vector<ObjectId> reclaim;     // garbage not yet destroyed
-    uint32_t new_used = 0;
-    uint64_t live_bytes = 0;
-    uint64_t reclaimed_bytes = 0;
-    uint64_t reclaimed_objects = 0;
+    CollectionPlan plan;  // the crashed collection's plan
     size_t dirty_pages_lost = 0;
     CollectionReport report;  // partial report at crash time
   };
@@ -192,18 +189,10 @@ class Collector {
   void PlanPartition(const ObjectStore& store, PartitionId partition,
                      CollectionPlan* plan);
 
-  // The from-space read and steps 2-6 (I/O, flip, remembered sets,
-  // bookkeeping, crash handling) for a partition whose plan is already
-  // computed. The plan's vectors are copied into the journal on a crash
-  // and into the partition's survivor list on completion.
-  CollectionReport ApplyCollection(ObjectStore& store, PartitionId partition,
-                                   const CollectionPlan& plan);
-
   // Applies the logical flip: destroys the reclaim set, relocates the
   // survivors to the compacted layout, and drops the stale buffer tail.
   void ApplyFlip(ObjectStore& store, PartitionId partition,
-                 const std::vector<ObjectId>& copy_order,
-                 const std::vector<ObjectId>& reclaim, uint32_t new_used);
+                 const CollectionPlan& plan);
 
   // Rewrites the page of external objects referencing a survivor:
   // entries with ordinal in [first, first + count) are touched (count = 0
@@ -219,9 +208,14 @@ class Collector {
   // Finishes partition bookkeeping and store-level accounting shared by
   // the normal path and roll-forward recovery.
   void FinishCollection(ObjectStore& store, PartitionId partition,
-                        const std::vector<ObjectId>& copy_order,
-                        uint32_t new_used, uint64_t reclaimed_bytes,
-                        uint64_t reclaimed_objects);
+                        const CollectionPlan& plan);
+
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, SectionTag{"COLL"}, self.collections_, self.attempts_,
+            self.crashes_, self.commit_protocol_, self.crash_point_,
+            self.crash_attempt_);
+  }
 
   obs::Telemetry* tel_ = nullptr;
 

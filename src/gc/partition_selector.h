@@ -7,6 +7,7 @@
 #include "storage/object_store.h"
 #include "storage/reachability.h"
 #include "storage/types.h"
+#include "util/fields.h"
 #include "util/random.h"
 #include "util/snapshot.h"
 
@@ -49,16 +50,15 @@ class RandomSelector : public PartitionSelector {
   explicit RandomSelector(uint64_t seed) : rng_(seed) {}
   PartitionId Select(const ObjectStore& store) override;
   std::string name() const override { return "Random"; }
-  void SaveState(SnapshotWriter& w) const override {
-    for (uint64_t s : rng_.state()) w.U64(s);
-  }
-  void RestoreState(SnapshotReader& r) override {
-    std::array<uint64_t, 4> s;
-    for (uint64_t& x : s) x = r.U64();
-    rng_.set_state(s);
-  }
+  void SaveState(SnapshotWriter& w) const override { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) override { Checkpoint(r, *this); }
 
  private:
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.rng_);
+  }
+
   Rng rng_;
 };
 

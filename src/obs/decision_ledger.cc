@@ -1,7 +1,5 @@
 #include "obs/decision_ledger.h"
 
-#include "util/snapshot.h"
-
 namespace odbgc::obs {
 
 const char* DecisionReasonName(DecisionReason r) {
@@ -54,66 +52,17 @@ const char* DecisionReasonName(DecisionReason r) {
   return "unknown";
 }
 
-DecisionLedger::DecisionLedger(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
 void DecisionLedger::Append(const char* policy, DecisionReason reason,
                             double chosen_interval, uint64_t next_threshold,
                             double target) {
   PolicyDecisionRecord rec = context_;
-  rec.seq = total_;
+  rec.seq = ring_.total();
   rec.policy = policy;
   rec.reason = reason;
   rec.chosen_interval = chosen_interval;
   rec.next_threshold = next_threshold;
   rec.target = target;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(rec));
-  } else {
-    ring_[head_] = std::move(rec);
-    head_ = (head_ + 1) % capacity_;
-  }
-  ++total_;
-}
-
-std::vector<PolicyDecisionRecord> DecisionLedger::Records() const {
-  std::vector<PolicyDecisionRecord> out;
-  out.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-void DecisionLedger::SaveState(SnapshotWriter& w) const {
-  w.Tag("DLG0");
-  w.U64(total_);
-  w.U64(ring_.size());
-  // Oldest-first, so restore can refill a ring of any capacity and keep
-  // the newest suffix.
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    SaveField(w, ring_[(head_ + i) % ring_.size()]);
-  }
-  w.Tag("DLGE");
-}
-
-void DecisionLedger::RestoreState(SnapshotReader& r) {
-  r.Tag("DLG0");
-  total_ = r.U64();
-  const uint64_t n = r.U64();
-  ring_.clear();
-  head_ = 0;
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    PolicyDecisionRecord rec;
-    LoadField(r, rec);
-    if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(rec));
-    } else {
-      ring_[head_] = std::move(rec);
-      head_ = (head_ + 1) % capacity_;
-    }
-  }
-  r.Tag("DLGE");
+  ring_.Push(std::move(rec));
 }
 
 }  // namespace odbgc::obs

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bounded_ring.h"
 #include "util/fields.h"
 
 namespace odbgc::obs {
@@ -90,14 +91,13 @@ struct PolicyDecisionRecord {
 // Bounded ring of the most recent decisions. Writes are two-phase: the
 // simulation stages run context with SetContext, then the policy merges
 // its half in via Append. The ring keeps the newest `capacity` records
-// and counts what it sheds, so a long run degrades to a suffix rather
-// than failing. Snapshot/restored through checkpoints for byte-identical
-// crash/resume exports.
+// and counts what it sheds (util/bounded_ring.h). Snapshot/restored
+// through checkpoints for byte-identical crash/resume exports.
 class DecisionLedger {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 16;
 
-  explicit DecisionLedger(size_t capacity);
+  explicit DecisionLedger(size_t capacity) : ring_(capacity) {}
 
   // Stage the context half of the next record. Decision fields in `ctx`
   // are ignored; Append overwrites them.
@@ -107,22 +107,24 @@ class DecisionLedger {
   void Append(const char* policy, DecisionReason reason,
               double chosen_interval, uint64_t next_threshold, double target);
 
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return ring_.capacity(); }
   size_t size() const { return ring_.size(); }
-  uint64_t total() const { return total_; }
-  uint64_t dropped() const { return total_ - ring_.size(); }
+  uint64_t total() const { return ring_.total(); }
+  uint64_t dropped() const { return ring_.dropped(); }
 
   // Records oldest-first.
-  std::vector<PolicyDecisionRecord> Records() const;
+  std::vector<PolicyDecisionRecord> Records() const { return ring_.Items(); }
 
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  void SaveState(SnapshotWriter& w) const { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) { Checkpoint(r, *this); }
 
  private:
-  size_t capacity_;
-  std::vector<PolicyDecisionRecord> ring_;
-  size_t head_ = 0;  // index of the oldest record once the ring is full
-  uint64_t total_ = 0;
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, SectionTag{"DLG0"}, self.ring_, SectionTag{"DLGE"});
+  }
+
+  BoundedRing<PolicyDecisionRecord> ring_;
   PolicyDecisionRecord context_;
 };
 

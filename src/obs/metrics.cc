@@ -69,22 +69,6 @@ double Histogram::Percentile(double p) const {
   return static_cast<double>(max_);
 }
 
-void Histogram::SaveState(SnapshotWriter& w) const {
-  for (size_t b = 0; b < kBuckets; ++b) w.U64(buckets_[b]);
-  w.U64(count_);
-  w.U64(sum_);
-  w.U64(min_);
-  w.U64(max_);
-}
-
-void Histogram::RestoreState(SnapshotReader& r) {
-  for (size_t b = 0; b < kBuckets; ++b) buckets_[b] = r.U64();
-  count_ = r.U64();
-  sum_ = r.U64();
-  min_ = r.U64();
-  max_ = r.U64();
-}
-
 template <typename T>
 T* MetricsRegistry::FindOrCreate(std::vector<Entry<T>>* entries,
                                  const char* id) {

@@ -1,16 +1,14 @@
 #ifndef ODBGC_OBS_METRICS_H_
 #define ODBGC_OBS_METRICS_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-namespace odbgc {
-class SnapshotReader;
-class SnapshotWriter;
-}  // namespace odbgc
+#include "util/fields.h"
 
 namespace odbgc::obs {
 
@@ -55,7 +53,7 @@ class Histogram {
   // p in [0, 100]. Returns 0 when empty.
   double Percentile(double p) const;
 
-  const uint64_t* buckets() const { return buckets_; }
+  const uint64_t* buckets() const { return buckets_.data(); }
 
   // Folds another histogram's samples into this one (bucket-wise sum plus
   // the running stats). Used to aggregate per-shard stall histograms into
@@ -66,11 +64,16 @@ class Histogram {
 
   // Bit-exact serialization (buckets + running stats) for checkpointed
   // telemetry; see MetricsRegistry::SaveState.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  void SaveState(SnapshotWriter& w) const { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) { Checkpoint(r, *this); }
 
  private:
-  uint64_t buckets_[kBuckets] = {};
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.buckets_, self.count_, self.sum_, self.min_, self.max_);
+  }
+
+  std::array<uint64_t, kBuckets> buckets_ = {};
   uint64_t count_ = 0;
   uint64_t sum_ = 0;
   uint64_t min_ = UINT64_MAX;
@@ -79,32 +82,45 @@ class Histogram {
 
 // Point-in-time copies of the registry, embedded into SimResult so that
 // reports stay plain copyable data. Entries are sorted by id, making the
-// snapshot — and any JSON printed from it — deterministic.
+// snapshot — and any JSON printed from it — deterministic. Time-series
+// frames checkpoint them through their field tables.
+#define ODBGC_COUNTER_SNAPSHOT_FIELDS(X) \
+  X(std::string, id, {})                 \
+  X(uint64_t, value, 0)
+
 struct CounterSnapshot {
-  std::string id;
-  uint64_t value = 0;
+  ODBGC_FIELD_TABLE(ODBGC_COUNTER_SNAPSHOT_FIELDS)
 };
+
+#define ODBGC_GAUGE_SNAPSHOT_FIELDS(X) \
+  X(std::string, id, {})               \
+  X(double, value, 0.0)
 
 struct GaugeSnapshot {
-  std::string id;
-  double value = 0.0;
+  ODBGC_FIELD_TABLE(ODBGC_GAUGE_SNAPSHOT_FIELDS)
 };
+
+#define ODBGC_HISTOGRAM_SNAPSHOT_FIELDS(X) \
+  X(std::string, id, {})                   \
+  X(uint64_t, count, 0)                    \
+  X(uint64_t, min, 0)                      \
+  X(uint64_t, max, 0)                      \
+  X(double, mean, 0.0)                     \
+  X(double, p50, 0.0)                      \
+  X(double, p95, 0.0)                      \
+  X(double, p99, 0.0)
 
 struct HistogramSnapshot {
-  std::string id;
-  uint64_t count = 0;
-  uint64_t min = 0;
-  uint64_t max = 0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
+  ODBGC_FIELD_TABLE(ODBGC_HISTOGRAM_SNAPSHOT_FIELDS)
 };
 
+#define ODBGC_TELEMETRY_SNAPSHOT_FIELDS(X)      \
+  X(std::vector<CounterSnapshot>, counters, {}) \
+  X(std::vector<GaugeSnapshot>, gauges, {})     \
+  X(std::vector<HistogramSnapshot>, histograms, {})
+
 struct TelemetrySnapshot {
-  std::vector<CounterSnapshot> counters;
-  std::vector<GaugeSnapshot> gauges;
-  std::vector<HistogramSnapshot> histograms;
+  ODBGC_FIELD_TABLE(ODBGC_TELEMETRY_SNAPSHOT_FIELDS)
 
   bool empty() const {
     return counters.empty() && gauges.empty() && histograms.empty();

@@ -1,135 +1,20 @@
 #include "obs/timeseries.h"
 
-#include "util/snapshot.h"
-
 namespace odbgc::obs {
 
 TimeSeriesSampler::TimeSeriesSampler(uint64_t interval_events, size_t capacity)
-    : interval_(interval_events), capacity_(capacity == 0 ? 1 : capacity) {}
+    : interval_(interval_events), ring_(capacity) {}
 
 void TimeSeriesSampler::Sample(uint64_t event, uint64_t tick,
                                uint64_t collections,
                                const MetricsRegistry& registry) {
   TimeSeriesFrame frame;
-  frame.seq = total_;
+  frame.seq = ring_.total();
   frame.event = event;
   frame.tick = tick;
   frame.collections = collections;
   frame.metrics = registry.Snapshot();
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(frame));
-  } else {
-    ring_[head_] = std::move(frame);
-    head_ = (head_ + 1) % capacity_;
-  }
-  ++total_;
-}
-
-std::vector<TimeSeriesFrame> TimeSeriesSampler::Frames() const {
-  std::vector<TimeSeriesFrame> out;
-  out.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-namespace {
-
-void SaveSnapshot(SnapshotWriter& w, const TelemetrySnapshot& s) {
-  w.U64(s.counters.size());
-  for (const CounterSnapshot& c : s.counters) {
-    w.Str(c.id);
-    w.U64(c.value);
-  }
-  w.U64(s.gauges.size());
-  for (const GaugeSnapshot& g : s.gauges) {
-    w.Str(g.id);
-    w.F64(g.value);
-  }
-  w.U64(s.histograms.size());
-  for (const HistogramSnapshot& h : s.histograms) {
-    w.Str(h.id);
-    w.U64(h.count);
-    w.U64(h.min);
-    w.U64(h.max);
-    w.F64(h.mean);
-    w.F64(h.p50);
-    w.F64(h.p95);
-    w.F64(h.p99);
-  }
-}
-
-TelemetrySnapshot RestoreSnapshot(SnapshotReader& r) {
-  TelemetrySnapshot s;
-  const uint64_t nc = r.U64();
-  for (uint64_t i = 0; i < nc && r.ok(); ++i) {
-    CounterSnapshot c;
-    c.id = r.Str();
-    c.value = r.U64();
-    s.counters.push_back(std::move(c));
-  }
-  const uint64_t ng = r.U64();
-  for (uint64_t i = 0; i < ng && r.ok(); ++i) {
-    GaugeSnapshot g;
-    g.id = r.Str();
-    g.value = r.F64();
-    s.gauges.push_back(std::move(g));
-  }
-  const uint64_t nh = r.U64();
-  for (uint64_t i = 0; i < nh && r.ok(); ++i) {
-    HistogramSnapshot h;
-    h.id = r.Str();
-    h.count = r.U64();
-    h.min = r.U64();
-    h.max = r.U64();
-    h.mean = r.F64();
-    h.p50 = r.F64();
-    h.p95 = r.F64();
-    h.p99 = r.F64();
-    s.histograms.push_back(std::move(h));
-  }
-  return s;
-}
-
-}  // namespace
-
-void TimeSeriesSampler::SaveState(SnapshotWriter& w) const {
-  w.Tag("TSS0");
-  w.U64(total_);
-  w.U64(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    const TimeSeriesFrame& f = ring_[(head_ + i) % ring_.size()];
-    w.U64(f.seq);
-    w.U64(f.event);
-    w.U64(f.tick);
-    w.U64(f.collections);
-    SaveSnapshot(w, f.metrics);
-  }
-  w.Tag("TSSE");
-}
-
-void TimeSeriesSampler::RestoreState(SnapshotReader& r) {
-  r.Tag("TSS0");
-  total_ = r.U64();
-  const uint64_t n = r.U64();
-  ring_.clear();
-  head_ = 0;
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    TimeSeriesFrame f;
-    f.seq = r.U64();
-    f.event = r.U64();
-    f.tick = r.U64();
-    f.collections = r.U64();
-    f.metrics = RestoreSnapshot(r);
-    if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(f));
-    } else {
-      ring_[head_] = std::move(f);
-      head_ = (head_ + 1) % capacity_;
-    }
-  }
-  r.Tag("TSSE");
+  ring_.Push(std::move(frame));
 }
 
 }  // namespace odbgc::obs

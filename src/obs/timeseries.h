@@ -6,11 +6,8 @@
 #include <vector>
 
 #include "obs/metrics.h"
-
-namespace odbgc {
-class SnapshotReader;
-class SnapshotWriter;
-}  // namespace odbgc
+#include "util/bounded_ring.h"
+#include "util/fields.h"
 
 namespace odbgc::obs {
 
@@ -19,12 +16,15 @@ namespace odbgc::obs {
 // learned-policy feature stream and what fig6-style time-series plots
 // consume; it is a pure function of the simulated execution, so it is
 // byte-identical across sweep thread counts and across crash/resume.
+#define ODBGC_TIMESERIES_FRAME_FIELDS(X)                              \
+  X(uint64_t, seq, 0)         /* 0-based frame index, never reused */ \
+  X(uint64_t, event, 0)       /* trace event cursor when sampled */   \
+  X(uint64_t, tick, 0)        /* logical tick when sampled */         \
+  X(uint64_t, collections, 0) /* collections completed so far */      \
+  X(TelemetrySnapshot, metrics, {})
+
 struct TimeSeriesFrame {
-  uint64_t seq = 0;          // 0-based frame index, never reused
-  uint64_t event = 0;        // trace event cursor when sampled
-  uint64_t tick = 0;         // logical tick when sampled
-  uint64_t collections = 0;  // collections completed so far
-  TelemetrySnapshot metrics;
+  ODBGC_FIELD_TABLE(ODBGC_TIMESERIES_FRAME_FIELDS)
 };
 
 // Samples the registry every `interval_events` applied trace events into
@@ -46,21 +46,23 @@ class TimeSeriesSampler {
               const MetricsRegistry& registry);
 
   size_t size() const { return ring_.size(); }
-  uint64_t total() const { return total_; }
-  uint64_t dropped() const { return total_ - ring_.size(); }
+  uint64_t total() const { return ring_.total(); }
+  uint64_t dropped() const { return ring_.dropped(); }
 
   // Frames oldest-first.
-  std::vector<TimeSeriesFrame> Frames() const;
+  std::vector<TimeSeriesFrame> Frames() const { return ring_.Items(); }
 
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  void SaveState(SnapshotWriter& w) const { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) { Checkpoint(r, *this); }
 
  private:
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, SectionTag{"TSS0"}, self.ring_, SectionTag{"TSSE"});
+  }
+
   uint64_t interval_;
-  size_t capacity_;
-  std::vector<TimeSeriesFrame> ring_;
-  size_t head_ = 0;  // index of the oldest frame once the ring is full
-  uint64_t total_ = 0;
+  BoundedRing<TimeSeriesFrame> ring_;
 };
 
 }  // namespace odbgc::obs

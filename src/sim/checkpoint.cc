@@ -124,29 +124,7 @@ uint64_t ConfigFingerprint(const SimConfig& config) {
 }
 
 void Simulation::SaveState(SnapshotWriter& w) const {
-  w.Tag("SIM0");
-  SaveField(w, clock_);
-  // Everything in SimResult except the telemetry outputs, which Finish
-  // rebuilds from the telemetry blob below.
-  w.Tag("RSLT");
-  SaveField(w, result_);
-  SaveField(w, current_phase_);
-  w.Bool(phase_open_);
-  SaveField(w, phase_accum_);
-  SaveField(w, phase_base_clock_);
-  w.U64(phase_base_collections_);
-  w.U64(phase_base_reclaimed_);
-  w.U64(window_app_io_base_);
-  w.U64(window_gc_io_base_);
-  w.U64(window_reclaimed_base_);
-  SaveField(w, whole_run_garbage_pct_);
-  w.Bool(last_estimate_valid_);
-  w.F64(last_estimate_error_pp_);
-  store_->SaveState(w);
-  collector_.SaveState(w);
-  scrubber_.SaveState(w);
-  policy_->SaveState(w);
-  selector_->SaveState(w);
+  Checkpoint(w, *this);
   w.U64(passive_estimators_.size());
   for (const GarbageEstimator* passive : passive_estimators_) {
     passive->SaveState(w);
@@ -173,27 +151,7 @@ void Simulation::SaveState(SnapshotWriter& w) const {
 }
 
 void Simulation::RestoreState(SnapshotReader& r) {
-  r.Tag("SIM0");
-  LoadField(r, clock_);
-  r.Tag("RSLT");
-  LoadField(r, result_);
-  LoadField(r, current_phase_);
-  phase_open_ = r.Bool();
-  LoadField(r, phase_accum_);
-  LoadField(r, phase_base_clock_);
-  phase_base_collections_ = r.U64();
-  phase_base_reclaimed_ = r.U64();
-  window_app_io_base_ = r.U64();
-  window_gc_io_base_ = r.U64();
-  window_reclaimed_base_ = r.U64();
-  LoadField(r, whole_run_garbage_pct_);
-  last_estimate_valid_ = r.Bool();
-  last_estimate_error_pp_ = r.F64();
-  store_->RestoreState(r);
-  collector_.RestoreState(r);
-  scrubber_.RestoreState(r);
-  policy_->RestoreState(r);
-  selector_->RestoreState(r);
+  Checkpoint(r, *this);
   const uint64_t passive_count = r.U64();
   if (passive_count != passive_estimators_.size()) {
     r.MarkMalformed("passive estimator count mismatch");

@@ -161,38 +161,4 @@ void PressureGovernor::ExitSafeMode() {
   have_last_collection_ = false;
 }
 
-void PressureGovernor::SaveState(SnapshotWriter& w) const {
-  w.Tag("GOV0");
-  SaveField(w, level_);
-  w.Bool(safe_mode_);
-  w.Bool(io_saturated_);
-  w.U64(last_total_io_);
-  w.U64(last_gc_io_);
-  w.U64(last_forced_overwrites_);
-  w.Bool(forced_once_);
-  w.U32(divergence_breaches_);
-  w.U32(clean_streak_);
-  w.Bool(have_last_collection_);
-  w.U64(last_collection_overwrites_);
-  w.VecU64(gaps_);
-  w.Tag("GOVE");
-}
-
-void PressureGovernor::RestoreState(SnapshotReader& r) {
-  r.Tag("GOV0");
-  LoadField(r, level_);
-  safe_mode_ = r.Bool();
-  io_saturated_ = r.Bool();
-  last_total_io_ = r.U64();
-  last_gc_io_ = r.U64();
-  last_forced_overwrites_ = r.U64();
-  forced_once_ = r.Bool();
-  divergence_breaches_ = r.U32();
-  clean_streak_ = r.U32();
-  have_last_collection_ = r.Bool();
-  last_collection_overwrites_ = r.U64();
-  gaps_ = r.VecU64();
-  r.Tag("GOVE");
-}
-
 }  // namespace odbgc

@@ -125,10 +125,20 @@ class PressureGovernor {
   // safe-mode oscillation trigger). 0 until the window fills.
   double FlipFraction() const;
 
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  void SaveState(SnapshotWriter& w) const { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) { Checkpoint(r, *this); }
 
  private:
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, SectionTag{"GOV0"}, self.level_, self.safe_mode_,
+            self.io_saturated_, self.last_total_io_, self.last_gc_io_,
+            self.last_forced_overwrites_, self.forced_once_,
+            self.divergence_breaches_, self.clean_streak_,
+            self.have_last_collection_, self.last_collection_overwrites_,
+            self.gaps_, SectionTag{"GOVE"});
+  }
+
   GovernorConfig config_;
 
   PressureLevel level_ = PressureLevel::kNormal;

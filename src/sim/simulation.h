@@ -15,6 +15,7 @@
 #include "storage/object_store.h"
 #include "storage/scrubber.h"
 #include "trace/trace.h"
+#include "util/fields.h"
 
 namespace odbgc {
 
@@ -201,6 +202,24 @@ class Simulation {
                             const CollectionReport& report, bool idle);
   void TakeTimeSeriesSample(obs::TimeSeriesSampler& sampler);
   obs::ProgressSample MakeProgressSample() const;
+
+  // The checkpointed members, in checkpoint order (util/fields.h
+  // Persist). result_ leaves out the telemetry outputs, which Finish
+  // rebuilds from the telemetry blob. SaveState and RestoreState add the
+  // passive estimators, the governor and that blob by hand, because a
+  // restore checks them against this run's configuration.
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, SectionTag{"SIM0"}, self.clock_, SectionTag{"RSLT"},
+            self.result_, self.current_phase_, self.phase_open_,
+            self.phase_accum_, self.phase_base_clock_,
+            self.phase_base_collections_, self.phase_base_reclaimed_,
+            self.window_app_io_base_, self.window_gc_io_base_,
+            self.window_reclaimed_base_, self.whole_run_garbage_pct_,
+            self.last_estimate_valid_, self.last_estimate_error_pp_,
+            *self.store_, self.collector_, self.scrubber_, *self.policy_,
+            *self.selector_);
+  }
 
   SimConfig config_;
   std::unique_ptr<ObjectStore> store_;

@@ -215,21 +215,10 @@ void BufferPool::SaveState(SnapshotWriter& w) const {
   // Resident pages, MRU -> LRU.
   w.U64(resident_);
   for (int32_t f = lru_head_; f != kNoFrame; f = frames_[f].next) {
-    w.U32(frames_[f].page.partition);
-    w.U32(frames_[f].page.page_index);
+    SaveField(w, frames_[f].page);
     w.Bool(frames_[f].dirty);
   }
-  SaveField(w, stats_);
-  w.U64(hits_);
-  w.U64(misses_);
-  // Undrained detections (normally empty: the simulation drains the
-  // queue before every checkpoint boundary).
-  w.U64(pending_corruption_.size());
-  for (const CorruptionEvent& e : pending_corruption_) {
-    w.U32(e.page.partition);
-    w.U32(e.page.page_index);
-    SaveField(w, e.kind);
-  }
+  Checkpoint(w, *this);
 }
 
 void BufferPool::RestoreState(SnapshotReader& r) {
@@ -247,7 +236,7 @@ void BufferPool::RestoreState(SnapshotReader& r) {
   }
   std::vector<Frame> saved(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
-    saved[i].page = PageId{r.U32(), r.U32()};
+    LoadField(r, saved[i].page);
     saved[i].dirty = r.Bool();
   }
   if (!r.ok()) return;
@@ -261,17 +250,7 @@ void BufferPool::RestoreState(SnapshotReader& r) {
     SetSlot(saved[i].page, fresh);
     ++resident_;
   }
-  LoadField(r, stats_);
-  hits_ = r.U64();
-  misses_ = r.U64();
-  pending_corruption_.clear();
-  const uint64_t pending = r.U64();
-  for (uint64_t i = 0; i < pending && r.ok(); ++i) {
-    CorruptionEvent e;
-    e.page = PageId{r.U32(), r.U32()};
-    LoadField(r, e.kind);
-    pending_corruption_.push_back(e);
-  }
+  Checkpoint(r, *this);
 }
 
 size_t BufferPool::DiscardAll() {

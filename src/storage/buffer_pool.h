@@ -9,15 +9,19 @@
 #include "storage/disk_model.h"
 #include "storage/fault_injector.h"
 #include "storage/types.h"
+#include "util/fields.h"
 #include "util/snapshot.h"
 
 namespace odbgc {
 
 // One detected-damage event (CorruptionKind is in storage/types.h), in
 // detection order.
+#define ODBGC_CORRUPTION_EVENT_FIELDS(X) \
+  X(PageId, page, {})                    \
+  X(CorruptionKind, kind, CorruptionKind::kChecksum)
+
 struct CorruptionEvent {
-  PageId page{0, 0};
-  CorruptionKind kind = CorruptionKind::kChecksum;
+  ODBGC_FIELD_TABLE(ODBGC_CORRUPTION_EVENT_FIELDS)
 };
 
 // LRU page buffer. The paper sets the buffer to the partition size
@@ -285,6 +289,16 @@ class BufferPool {
   // Removes a resident frame entirely (table slot, LRU list, free list).
   void ReleaseFrame(int32_t f);
   void ResetFreeList();
+
+  // The checkpointed state after the resident pages, in checkpoint order
+  // (util/fields.h Persist).
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    // Undrained detections are normally empty: the simulation drains the
+    // queue before every checkpoint boundary.
+    Persist(io, self.stats_, self.hits_, self.misses_,
+            self.pending_corruption_);
+  }
 
   uint32_t frame_count_;
   uint32_t pages_hint_;

@@ -43,22 +43,4 @@ void DiskModel::AddDelay(IoContext ctx, double ms) {
   }
 }
 
-void DiskModel::SaveState(SnapshotWriter& w) const {
-  w.U64(last_lba_);
-  w.Bool(has_last_);
-  w.F64(app_ms_);
-  w.F64(gc_ms_);
-  w.U64(sequential_);
-  w.U64(random_);
-}
-
-void DiskModel::RestoreState(SnapshotReader& r) {
-  last_lba_ = r.U64();
-  has_last_ = r.Bool();
-  app_ms_ = r.F64();
-  gc_ms_ = r.F64();
-  sequential_ = r.U64();
-  random_ = r.U64();
-}
-
 }  // namespace odbgc

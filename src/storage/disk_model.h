@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "storage/types.h"
+#include "util/fields.h"
 #include "util/snapshot.h"
 
 namespace odbgc {
@@ -54,10 +55,16 @@ class DiskModel {
 
   // Checkpoint hooks: head position and accumulated times (params are
   // configuration).
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  void SaveState(SnapshotWriter& w) const { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) { Checkpoint(r, *this); }
 
  private:
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.last_lba_, self.has_last_, self.app_ms_, self.gc_ms_,
+            self.sequential_, self.random_);
+  }
+
   DiskParams params_;
   double transfer_ms_;
   uint32_t pages_per_partition_;

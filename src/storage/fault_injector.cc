@@ -1,8 +1,5 @@
 #include "storage/fault_injector.h"
 
-#include <algorithm>
-#include <vector>
-
 namespace odbgc {
 
 const char* CrashPointName(CrashPoint p) {
@@ -67,84 +64,6 @@ FaultOutcome FaultInjector::OnRead(PageId page) {
     }
   }
   return o;
-}
-
-namespace {
-
-bool PageIdLess(const PageId& a, const PageId& b) {
-  return a.partition != b.partition ? a.partition < b.partition
-                                    : a.page_index < b.page_index;
-}
-
-// The page-health sets are unordered in memory; serialize sorted so the
-// bytes (and the payload CRC) are stable across runs.
-void SavePageSet(SnapshotWriter& w,
-                 const std::unordered_set<PageId, PageIdHash>& set) {
-  std::vector<PageId> pages(set.begin(), set.end());
-  std::sort(pages.begin(), pages.end(), PageIdLess);
-  w.U64(pages.size());
-  for (const PageId& p : pages) {
-    w.U32(p.partition);
-    w.U32(p.page_index);
-  }
-}
-
-void LoadPageSet(SnapshotReader& r,
-                 std::unordered_set<PageId, PageIdHash>* set) {
-  set->clear();
-  const uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    PageId p{r.U32(), r.U32()};
-    set->insert(p);
-  }
-}
-
-}  // namespace
-
-void FaultInjector::SaveState(SnapshotWriter& w) const {
-  for (uint64_t s : rng_.state()) w.U64(s);
-  SavePageSet(w, torn_);
-  w.U64(transfers_);
-  SavePageSet(w, corrupt_);
-  std::vector<std::pair<PageId, uint64_t>> decaying(decaying_.begin(),
-                                                    decaying_.end());
-  std::sort(decaying.begin(), decaying.end(),
-            [](const auto& a, const auto& b) {
-              return PageIdLess(a.first, b.first);
-            });
-  w.U64(decaying.size());
-  for (const auto& [page, due] : decaying) {
-    w.U32(page.partition);
-    w.U32(page.page_index);
-    w.U64(due);
-  }
-  SavePageSet(w, dead_pages_);
-  std::vector<PartitionId> dead_parts(dead_partitions_.begin(),
-                                      dead_partitions_.end());
-  std::sort(dead_parts.begin(), dead_parts.end());
-  w.U64(dead_parts.size());
-  for (PartitionId p : dead_parts) w.U32(p);
-}
-
-void FaultInjector::RestoreState(SnapshotReader& r) {
-  std::array<uint64_t, 4> s;
-  for (uint64_t& x : s) x = r.U64();
-  rng_.set_state(s);
-  LoadPageSet(r, &torn_);
-  transfers_ = r.U64();
-  LoadPageSet(r, &corrupt_);
-  decaying_.clear();
-  const uint64_t decay_count = r.U64();
-  for (uint64_t i = 0; i < decay_count && r.ok(); ++i) {
-    PageId p{r.U32(), r.U32()};
-    decaying_[p] = r.U64();
-  }
-  LoadPageSet(r, &dead_pages_);
-  dead_partitions_.clear();
-  const uint64_t dead_part_count = r.U64();
-  for (uint64_t i = 0; i < dead_part_count && r.ok(); ++i) {
-    dead_partitions_.insert(r.U32());
-  }
 }
 
 FaultOutcome FaultInjector::OnWrite(PageId page) {

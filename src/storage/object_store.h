@@ -14,6 +14,7 @@
 #include "storage/partition.h"
 #include "storage/types.h"
 #include "util/check.h"
+#include "util/fields.h"
 
 namespace odbgc {
 
@@ -479,6 +480,17 @@ class ObjectStore {
   // in sync. DetachInRef patches the swap-erased entry's back-pointer.
   void AttachInRef(ObjectId src, uint32_t slot, ObjectId target);
   void DetachInRef(ObjectId src, uint32_t slot, ObjectId target);
+
+  // The counter block that ends the store's checkpoint, in checkpoint
+  // order (util/fields.h Persist). The rest of the store is saved and
+  // validated by hand: its object arrays need a fixup pass on restore.
+  template <class Io, class Self>
+  static void CheckpointCounters(Io& io, Self& self) {
+    Persist(io, SectionTag{"CNTR"}, self.used_bytes_, self.live_objects_,
+            self.pointer_overwrites_, self.allocated_bytes_total_,
+            self.garbage_created_bytes_, self.garbage_created_objects_,
+            self.garbage_collected_bytes_, self.garbage_collected_objects_);
+  }
 
   StoreConfig config_;
   std::vector<Partition> partitions_;

@@ -24,20 +24,4 @@ void Partition::ResetAfterCollection(const std::vector<ObjectId>& survivors,
   RecordCollection();
 }
 
-void Partition::SaveState(SnapshotWriter& w) const {
-  w.U32(used_);
-  w.VecU32(objects_);
-  w.U64(overwrites_);
-  w.U64(collections_);
-  w.U64(last_collected_stamp_);
-}
-
-void Partition::RestoreState(SnapshotReader& r) {
-  used_ = r.U32();
-  objects_ = r.VecU32();
-  overwrites_ = r.U64();
-  collections_ = r.U64();
-  last_collected_stamp_ = r.U64();
-}
-
 }  // namespace odbgc

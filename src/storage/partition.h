@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "storage/types.h"
+#include "util/fields.h"
 #include "util/snapshot.h"
 
 namespace odbgc {
@@ -53,10 +54,16 @@ class Partition {
 
   // Checkpoint hooks. id and capacity are structural (reconstructed by
   // the store from config); only the mutable state travels.
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  void SaveState(SnapshotWriter& w) const { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) { Checkpoint(r, *this); }
 
  private:
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.used_, self.objects_, self.overwrites_, self.collections_,
+            self.last_collected_stamp_);
+  }
+
   PartitionId id_;
   uint32_t capacity_;
   uint32_t used_ = 0;

@@ -40,14 +40,4 @@ ScrubReport Scrubber::ScrubQuantum(ObjectStore& store, uint32_t budget) {
   return report;
 }
 
-void Scrubber::SaveState(SnapshotWriter& w) const {
-  w.U32(part_);
-  w.U32(page_);
-}
-
-void Scrubber::RestoreState(SnapshotReader& r) {
-  part_ = r.U32();
-  page_ = r.U32();
-}
-
 }  // namespace odbgc

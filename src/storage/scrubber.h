@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "storage/object_store.h"
+#include "util/fields.h"
 #include "util/snapshot.h"
 
 namespace odbgc {
@@ -41,10 +42,15 @@ class Scrubber {
   uint32_t cursor_page() const { return page_; }
 
   // Checkpoint hooks (cursor only; the pool owns detection state).
-  void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  void SaveState(SnapshotWriter& w) const { Checkpoint(w, *this); }
+  void RestoreState(SnapshotReader& r) { Checkpoint(r, *this); }
 
  private:
+  template <class Io, class Self>
+  static void Checkpoint(Io& io, Self& self) {
+    Persist(io, self.part_, self.page_);
+  }
+
   PartitionId part_ = 0;
   uint32_t page_ = 0;
 };

@@ -17,11 +17,15 @@ using PartitionId = uint32_t;
 inline constexpr PartitionId kInvalidPartition = 0xffffffffu;
 
 // A page is identified by (partition, page index within partition).
-struct PageId {
-  PartitionId partition;
-  uint32_t page_index;
+// Ordered by partition, then page index.
+#define ODBGC_PAGE_ID_FIELDS(X) \
+  X(PartitionId, partition, 0)  \
+  X(uint32_t, page_index, 0)
 
-  friend bool operator==(const PageId&, const PageId&) = default;
+struct PageId {
+  ODBGC_FIELD_TABLE(ODBGC_PAGE_ID_FIELDS)
+
+  friend auto operator<=>(const PageId&, const PageId&) = default;
 };
 
 // Reserved page index for a partition's metadata page: holds the
