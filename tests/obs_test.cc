@@ -376,22 +376,25 @@ TEST(DecisionLedgerTest, RingShedsOldestAndCountsDropped) {
 }
 
 TEST(DecisionLedgerTest, SaveRestoreRoundTripsRecordsExactly) {
-  DecisionLedger ledger(8);
-  for (uint64_t i = 0; i < 5; ++i) {
+  // A full ring that has shed records: 7 appended, 4 kept, 3 dropped.
+  DecisionLedger ledger(4);
+  for (uint64_t i = 0; i < 7; ++i) {
     ledger.SetContext(ContextAt(i));
     ledger.Append(i % 2 == 0 ? "saio" : "saga",
                   i % 2 == 0 ? DecisionReason::kBudgetSolve
                              : DecisionReason::kDtMinClamp,
                   3.5 * static_cast<double>(i), 50 + i, 10.0);
   }
+  ASSERT_EQ(ledger.dropped(), 3u);
   SnapshotWriter w;
   ledger.SaveState(w);
 
-  DecisionLedger restored(8);
+  DecisionLedger restored(4);
   SnapshotReader r(w.data());
   restored.RestoreState(r);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(restored.total(), ledger.total());
+  EXPECT_EQ(restored.total(), 7u);
+  EXPECT_EQ(restored.dropped(), 3u);
   std::vector<PolicyDecisionRecord> a = ledger.Records();
   std::vector<PolicyDecisionRecord> b = restored.Records();
   ASSERT_EQ(a.size(), b.size());
@@ -403,6 +406,22 @@ TEST(DecisionLedgerTest, SaveRestoreRoundTripsRecordsExactly) {
     EXPECT_EQ(a[i].next_threshold, b[i].next_threshold);
     EXPECT_EQ(a[i].io_pct, b[i].io_pct);
   }
+
+  // A smaller ring keeps the newest records and counts the rest dropped.
+  DecisionLedger smaller(2);
+  SnapshotReader r2(w.data());
+  smaller.RestoreState(r2);
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(smaller.total(), 7u);
+  EXPECT_EQ(smaller.dropped(), 5u);
+  std::vector<PolicyDecisionRecord> newest = smaller.Records();
+  ASSERT_EQ(newest.size(), 2u);
+  EXPECT_EQ(newest[0].seq, 5u);
+  EXPECT_EQ(newest[1].seq, 6u);
+
+  // The next append continues the saved sequence.
+  smaller.Append("saga", DecisionReason::kSlopeSolve, 1.0, 1, 1.0);
+  EXPECT_EQ(smaller.Records().back().seq, 7u);
 }
 
 TEST(DecisionLedgerTest, RestoreRejectsUnknownReasonByte) {
@@ -492,6 +511,8 @@ TEST(TimeSeriesSamplerTest, RingAndSaveRestoreRoundTrip) {
   SnapshotReader r(w.data());
   restored.RestoreState(r);
   ASSERT_TRUE(r.ok());
+  EXPECT_EQ(restored.total(), 6u);
+  EXPECT_EQ(restored.dropped(), 2u);
   std::vector<TimeSeriesFrame> a = sampler.Frames();
   std::vector<TimeSeriesFrame> b = restored.Frames();
   ASSERT_EQ(a.size(), b.size());
@@ -505,6 +526,19 @@ TEST(TimeSeriesSamplerTest, RingAndSaveRestoreRoundTrip) {
   }
   EXPECT_EQ(b.front().seq, 2u);  // oldest surviving frame
   EXPECT_EQ(b.back().metrics.counters[0].value, 6u);
+
+  // A smaller ring keeps the newest frames and counts the rest dropped.
+  TimeSeriesSampler smaller(1, 3);
+  SnapshotReader r2(w.data());
+  smaller.RestoreState(r2);
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(smaller.total(), 6u);
+  EXPECT_EQ(smaller.dropped(), 3u);
+  std::vector<TimeSeriesFrame> newest = smaller.Frames();
+  ASSERT_EQ(newest.size(), 3u);
+  EXPECT_EQ(newest.front().seq, 3u);
+  EXPECT_EQ(newest.back().seq, 5u);
+  EXPECT_EQ(newest.back().metrics.counters[0].value, 6u);
 }
 
 }  // namespace
