@@ -36,6 +36,7 @@
 #include "bench/bench_util.h"
 #include "sim/multi_tenant.h"
 #include "sim/parallel.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "util/table_printer.h"
 #include "workloads/streaming.h"
@@ -348,8 +349,10 @@ int main(int argc, char** argv) {
   w.EndArray();
   w.EndObject();
 
-  std::ofstream out(args.json_out);
-  out << w.TakeString() << "\n";
+  if (!odbgc::WriteWholeFile(args.json_out, w.TakeString() + "\n")) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", args.json_out.c_str());
+    return 1;
+  }
   std::cout << "wrote " << args.json_out << "\n";
   return 0;
 }

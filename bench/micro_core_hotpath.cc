@@ -39,7 +39,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -51,6 +50,7 @@
 #include "storage/reachability.h"
 #include "storage/verifier.h"
 #include "trace/trace.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "util/random.h"
 #include "util/table_printer.h"
@@ -311,8 +311,11 @@ int main(int argc, char** argv) {
   w.EndArray();
   w.EndObject();
 
-  std::ofstream out("BENCH_hotpath_run.json");
-  out << w.TakeString() << "\n";
+  if (!odbgc::WriteWholeFile("BENCH_hotpath_run.json",
+                             w.TakeString() + "\n")) {
+    std::cerr << "error: cannot write 'BENCH_hotpath_run.json'\n";
+    return 1;
+  }
   std::cout << "wrote BENCH_hotpath_run.json\n";
   return 0;
 }

@@ -121,7 +121,16 @@ expect_exit 3 "$run" --workload=oo7 --oo7=tiny --policy=saga \
     --log-csv=/dev/full
 expect_exit 1 ./build-check/tools/odbgc_tracegen --workload=uniform-churn \
     --cycles=5 --lists=1 --length=2 --out=/dev/full
-echo "failed-write smoke: odbgc_run --log-csv exits 3, odbgc_tracegen exits 1"
+expect_exit 1 ./build-check/bench/ext_multi_tenant --clients=10 \
+    --check-threads=0 --json-out=/dev/full
+expect_exit 1 ./build-check/bench/ext_overload --json-out=/dev/full
+# micro_core_hotpath writes BENCH_hotpath_run.json in its working
+# directory; there that name points at the full device.
+hotpath="$PWD/build-check/bench/micro_core_hotpath"
+ln -s /dev/full "$ckpt_dir/BENCH_hotpath_run.json"
+(cd "$ckpt_dir" && expect_exit 1 "$hotpath")
+echo "failed-write smoke: odbgc_run --log-csv exits 3; odbgc_tracegen," \
+    "ext_multi_tenant, ext_overload and micro_core_hotpath exit 1"
 
 # Controller-introspection smoke: SAIO and SAGA runs over OO7 Small'
 # must export decision ledgers whose A/B diff reproduces the paper's
