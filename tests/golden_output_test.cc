@@ -268,12 +268,15 @@ TEST(GoldenOutputTest, DecisionJsonlIsByteIdentical) {
 // headline counters plus a 64-bit FNV-1a digest of the full report
 // (collection log included) and of its decision ledger.
 
+constexpr uint64_t kFnv1aOffsetBasis = 1469598103934665603ull;
+
+uint64_t Fnv1aByte(uint64_t h, unsigned char byte) {
+  return (h ^ byte) * 1099511628211ull;
+}
+
 uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
+  uint64_t h = kFnv1aOffsetBasis;
+  for (const char c : bytes) h = Fnv1aByte(h, static_cast<unsigned char>(c));
   return h;
 }
 
@@ -449,6 +452,88 @@ TEST(GoldenOutputTest, CollectionPathsAreByteIdentical) {
     out += line;
   }
   CheckAgainstGolden("collection_paths.jsonl", out);
+}
+
+// --- The OO7 traces ---
+//
+// One line per generated trace: its name, its event count, and the
+// FNV-1a digest of every event's kind (one byte) then a, b, c and d (four
+// little-endian bytes each). Every OO7 run replays one of these streams,
+// so a generator change that keeps them keeps every simulation's input:
+// the same RNG draws, the same ids, the same events in the same order.
+
+uint64_t TraceDigest(const Trace& trace) {
+  uint64_t h = kFnv1aOffsetBasis;
+  for (const TraceEvent& e : trace.events()) {
+    h = Fnv1aByte(h, static_cast<unsigned char>(e.kind));
+    for (const uint32_t field : {e.a, e.b, e.c, e.d}) {
+      for (int shift = 0; shift < 32; shift += 8) {
+        h = Fnv1aByte(h, static_cast<unsigned char>(field >> shift));
+      }
+    }
+  }
+  return h;
+}
+
+Oo7Params WithConnectivity(Oo7Params p, uint32_t connectivity) {
+  p.num_conn_per_atomic = connectivity;
+  return p;
+}
+
+TEST(GoldenOutputTest, Oo7TracesAreStable) {
+  std::string out;
+  auto pin = [&out](const char* name, const Trace& trace) {
+    char line[128];
+    std::snprintf(line, sizeof(line), "%s %zu %016" PRIx64, name,
+                  trace.size(), TraceDigest(trace));
+    if (!out.empty()) out += "\n";
+    out += line;
+  };
+  auto full = [&pin](const char* name, const Oo7Params& p, uint64_t seed) {
+    pin(name, Oo7Generator(p, seed).GenerateFullApplication());
+  };
+  full("tiny_s1", Oo7Params::Tiny(), 1);
+  full("tiny_s2", Oo7Params::Tiny(), 2);
+  full("smallprime_s1", Oo7Params::SmallPrime(), 1);
+  full("smallprime_s2", Oo7Params::SmallPrime(), 2);
+  full("small_s1", Oo7Params::Small(), 1);
+  full("small_s2", Oo7Params::Small(), 2);
+  full("smallprime_c6_s1", WithConnectivity(Oo7Params::SmallPrime(), 6), 1);
+  full("smallprime_c9_s1", WithConnectivity(Oo7Params::SmallPrime(), 9), 1);
+  {
+    Oo7Generator gen(Oo7Params::SmallPrime(), 1);
+    Trace t;
+    gen.GenDb(&t);
+    gen.TraverseT2(&t, /*updates_per_part=*/4);
+    pin("smallprime_gendb_t2x4_s1", t);
+  }
+  {
+    Oo7Generator gen(Oo7Params::SmallPrime(), 1);
+    Trace t;
+    gen.GenDb(&t);
+    gen.TraverseT6(&t);
+    pin("smallprime_gendb_t6_s1", t);
+  }
+  {
+    Oo7Generator gen(Oo7Params::SmallPrime(), 1);
+    Trace t;
+    gen.GenDb(&t);
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_EQ(gen.StructuralDelete(&t, 10), 10);
+      EXPECT_EQ(gen.StructuralInsert(&t, 10), 10);
+    }
+    pin("smallprime_gendb_structural3x10_s1", t);
+  }
+  {
+    // odbgc_run's default application with a quiescent window.
+    Trace t;
+    SimConfig unused;
+    FromCliFlags({"--workload=oo7", "--oo7=smallprime",
+                  "--idle-after-reorg1=50"},
+                 &t, &unused);
+    pin("odbgc_run_yny_idle50_s1", t);
+  }
+  CheckAgainstGolden("oo7_trace_digests.txt", out);
 }
 
 // --- The checkpoint payload ---
