@@ -1,7 +1,7 @@
 #include "oo7/generator.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cmath>
 
 #include "util/check.h"
 
@@ -38,22 +38,151 @@ constexpr uint32_t kModuleDesignRootSlot = 1;
 // inserts can add references without displacing existing ones.
 constexpr uint32_t kExtraBaseSlots = 4;
 
+// A slot for a new record in `slab`: the most recently freed one, or a
+// new one at the end.
+template <typename Record>
+uint32_t TakeSlot(std::vector<Record>* slab,
+                  std::vector<uint32_t>* free_slots) {
+  if (free_slots->empty()) {
+    slab->emplace_back();
+    return static_cast<uint32_t>(slab->size() - 1);
+  }
+  const uint32_t slot = free_slots->back();
+  free_slots->pop_back();
+  return slot;
+}
+
 }  // namespace
 
 Oo7Generator::Oo7Generator(const Oo7Params& params, uint64_t seed)
-    : params_(params), rng_(seed) {}
+    : params_(params), rng_(seed) {
+  // GenDb's population, which the reorganizations keep.
+  const size_t parts = size_t{params.num_modules} *
+                       params.num_comp_per_module * params.num_atomic_per_comp;
+  atomics_.reserve(parts);
+  conns_.reserve(parts * params.num_conn_per_atomic);
+}
 
-Trace Oo7Generator::GenerateFullApplication() {
+Trace Oo7Generator::GenerateFullApplication(uint32_t idle_after_reorg1) {
+  const Reservation reserve = FullApplicationReserve(params_);
   Trace trace;
+  trace.Reserve(reserve.events + (idle_after_reorg1 != 0 ? 1 : 0));
+  slot_.reserve(reserve.ids + 1);
   trace.Append(PhaseMarkEvent(Phase::kGenDb));
   GenDb(&trace);
   trace.Append(PhaseMarkEvent(Phase::kReorg1));
   Reorg1(&trace);
+  if (idle_after_reorg1 != 0) {
+    trace.Append(IdleMarkEvent(idle_after_reorg1));
+  }
   trace.Append(PhaseMarkEvent(Phase::kTraverse));
   Traverse(&trace);
   trace.Append(PhaseMarkEvent(Phase::kReorg2));
   Reorg2(&trace);
   return trace;
+}
+
+Oo7Generator::Reservation Oo7Generator::FullApplicationReserve(
+    const Oo7Params& p) {
+  const double parts = p.num_atomic_per_comp;
+  const double k = p.num_conn_per_atomic;
+  const double comps = p.num_comp_per_module;
+  const double assemblies = p.assemblies_per_module();
+  // Composite references from base assemblies; the first `comps` of
+  // them each link, and unpin, a composite of their own.
+  const double refs =
+      static_cast<double>(p.base_assemblies_per_module()) *
+      p.num_comp_per_assm;
+  // GenDB, per module: the module is created and pinned; every assembly
+  // is created, pinned, linked and unpinned; every manual section and
+  // document node is created and linked; every composite is created and
+  // pinned, every atomic part created with two writes, every connection
+  // with three.
+  const double gendb =
+      2 + 2.0 * p.manual_sections_per_module() + 4 * assemblies + refs +
+      std::min(refs, comps) +
+      comps * (2 + 2.0 * p.doc_nodes_per_document() + 3 * parts +
+               4 * parts * k);
+  // Traverse reads the module, every assembly, and per composite
+  // reference the composite, its parts and their connections.
+  const double traverse = 1 + assemblies + refs * (1 + parts + parts * k);
+  // Reorg1 and Reorg2 each delete and reinsert half of every composite's
+  // parts. A reinsertion emits 4 + 4k events. A deletion emits 8 + 4k,
+  // reads its way to the part's list position (on average (parts - 1) / 2
+  // over both phases), and emits 10 plus the connection's position in
+  // its owner's list (on average (k - 1) / 2) per incoming connection,
+  // which it replaces with a new one. Reorg1's victims have k incoming
+  // connections on average. Reorg2's are original parts, which hold more
+  // of the in-degree than the parts reinserted around them: about 1.3 k.
+  const double modules = p.num_modules;
+  const double deletions = modules * 2 * comps * std::floor(parts / 2);
+  const double incoming = 1.15 * k;
+  const double reorg_events =
+      deletions *
+      (12 + 8 * k + (parts - 1) / 2 + incoming * (10 + (k - 1) / 2));
+  const double reorg_ids = deletions * (1 + k + incoming);
+  // A deletion's count varies by about a third of its mean, so the sum
+  // of n of them by total / (3 sqrt(n)): add three standard deviations.
+  const double spread = deletions > 0 ? 1 + 1 / std::sqrt(deletions) : 1;
+  Reservation r;
+  r.events = static_cast<size_t>(std::ceil(
+      4 + modules * (gendb + traverse) + reorg_events * spread));
+  r.ids = static_cast<size_t>(
+      std::ceil(p.expected_object_count() + reorg_ids * spread));
+  return r;
+}
+
+uint32_t Oo7Generator::AtomicSlot(ObjectId id) const {
+  const uint32_t slot = id < slot_.size() ? slot_[id] : kNoSlot;
+  ODBGC_CHECK_FMT(slot < atomics_.size() && atomics_[slot].id == id,
+                  "object %u is not a live atomic part", id);
+  return slot;
+}
+
+uint32_t Oo7Generator::ConnSlot(ObjectId id) const {
+  const uint32_t slot = id < slot_.size() ? slot_[id] : kNoSlot;
+  ODBGC_CHECK_FMT(slot < conns_.size() && conns_[slot].id == id,
+                  "object %u is not a live connection", id);
+  return slot;
+}
+
+size_t Oo7Generator::CompositeIndex(ObjectId id) const {
+  const uint32_t index = id < slot_.size() ? slot_[id] : kNoSlot;
+  ODBGC_CHECK_FMT(index < composites_.size() &&
+                      composites_[index].id == id && composites_[index].alive,
+                  "object %u is not a live composite part", id);
+  return index;
+}
+
+void Oo7Generator::AddAtomic(ObjectId id, size_t comp_index) {
+  const uint32_t slot = TakeSlot(&atomics_, &free_atomics_);
+  AtomicInfo& info = atomics_[slot];
+  info.id = id;
+  info.composite = static_cast<uint32_t>(comp_index);
+  slot_[id] = slot;
+}
+
+void Oo7Generator::AddConn(ObjectId id, ObjectId owner, ObjectId target) {
+  const uint32_t slot = TakeSlot(&conns_, &free_conns_);
+  conns_[slot] = ConnInfo{id, owner, target};
+  slot_[id] = slot;
+}
+
+void Oo7Generator::FreeAtomic(ObjectId id) {
+  const uint32_t slot = AtomicSlot(id);
+  AtomicInfo& info = atomics_[slot];
+  info.id = kNullObject;
+  info.conns.clear();
+  info.in_conns.clear();
+  slot_[id] = kNoSlot;
+  free_atomics_.push_back(slot);
+}
+
+void Oo7Generator::FreeConn(ObjectId id) {
+  const uint32_t slot = ConnSlot(id);
+  conns_[slot].id = kNullObject;
+  slot_[id] = kNoSlot;
+  free_conns_.push_back(slot);
 }
 
 void Oo7Generator::GenDb(Trace* t) {
@@ -102,6 +231,7 @@ void Oo7Generator::GenDb(Trace* t) {
 void Oo7Generator::BuildComposite(Trace* t, size_t comp_index) {
   CompositeInfo& comp = composites_[comp_index];
   comp.id = NewId();
+  slot_[comp.id] = static_cast<uint32_t>(comp_index);
   t->Append(CreateEvent(comp.id, kCompositeBytes, kCompositeSlots));
   // The composite is not referenced by the assembly hierarchy until the
   // base assemblies are built; the application's workspace reference
@@ -133,9 +263,7 @@ void Oo7Generator::BuildComposite(Trace* t, size_t comp_index) {
     t->Append(WriteRefEvent(part, kAtomicNextSlot, old_head));
     t->Append(WriteRefEvent(comp.id, kCompositePartHeadSlot, part));
     comp.parts.insert(comp.parts.begin(), part);
-    AtomicInfo info;
-    info.composite = comp_index;
-    atomics_.emplace(part, std::move(info));
+    AddAtomic(part, comp_index);
   }
 
   // Connections: each atomic part sources num_conn_per_atomic connections
@@ -205,7 +333,7 @@ ObjectId Oo7Generator::BuildAssembly(Trace* t, uint32_t level,
 
 void Oo7Generator::CreateConnection(Trace* t, ObjectId source,
                                     ObjectId target, ObjectId near_hint) {
-  AtomicInfo& src = atomics_.at(source);
+  AtomicInfo& src = Atomic(source);
   ObjectId conn = NewId();
   t->Append(CreateEvent(conn, kConnectionBytes, kConnectionSlots, near_hint));
   t->Append(WriteRefEvent(conn, kConnTargetSlot, target));
@@ -213,8 +341,8 @@ void Oo7Generator::CreateConnection(Trace* t, ObjectId source,
   t->Append(WriteRefEvent(conn, kConnNextSlot, old_head));
   t->Append(WriteRefEvent(source, kAtomicConnHeadSlot, conn));
   src.conns.insert(src.conns.begin(), conn);
-  atomics_.at(target).in_conns.push_back(conn);
-  conns_.emplace(conn, ConnInfo{source, target});
+  Atomic(target).in_conns.push_back(conn);
+  AddConn(conn, source, target);
 }
 
 ObjectId Oo7Generator::PickTarget(size_t comp_index, ObjectId exclude) {
@@ -240,8 +368,8 @@ ObjectId Oo7Generator::PickTarget2(size_t comp_index, ObjectId exclude_a,
 }
 
 void Oo7Generator::UnlinkConnectionFromOwner(Trace* t, ObjectId conn) {
-  const ConnInfo info = conns_.at(conn);
-  AtomicInfo& owner = atomics_.at(info.owner);
+  const ConnInfo info = Conn(conn);
+  AtomicInfo& owner = Atomic(info.owner);
   // The application clears the dying connection's endpoint first (as
   // OO7's delete does): without this, the garbage connection's stale
   // pointer would pin the deleted part in other partitions indefinitely.
@@ -268,17 +396,17 @@ void Oo7Generator::UnlinkConnectionFromOwner(Trace* t, ObjectId conn) {
   // link we just overwrote.
   t->Append(GarbageMarkEvent(kConnectionBytes, 1));
   // Shadow maintenance.
-  AtomicInfo& target = atomics_.at(info.target);
+  AtomicInfo& target = Atomic(info.target);
   auto tin = std::find(target.in_conns.begin(), target.in_conns.end(), conn);
   ODBGC_CHECK(tin != target.in_conns.end());
   target.in_conns.erase(tin);
-  conns_.erase(conn);
+  FreeConn(conn);
 }
 
 void Oo7Generator::DeleteAtomic(Trace* t, ObjectId atomic) {
-  AtomicInfo& info = atomics_.at(atomic);
-  CompositeInfo& comp = composites_[info.composite];
-  size_t comp_index = info.composite;
+  const AtomicInfo& info = Atomic(atomic);
+  const size_t comp_index = info.composite;
+  CompositeInfo& comp = composites_[comp_index];
 
   // The application's workspace holds the part for the duration of the
   // delete operation, so a collection landing mid-operation cannot
@@ -291,16 +419,16 @@ void Oo7Generator::DeleteAtomic(Trace* t, ObjectId atomic) {
   //    immediately rewires to another part, as OO7-style reorganizations
   //    do, so every atomic part keeps sourcing exactly NumConnPerAtomic
   //    connections and the database stays stationary across phases.
-  std::vector<ObjectId> incoming = info.in_conns;
-  for (ObjectId conn : incoming) {
-    ObjectId owner = conns_.at(conn).owner;
+  incoming_ = info.in_conns;
+  for (ObjectId conn : incoming_) {
+    ObjectId owner = Conn(conn).owner;
     UnlinkConnectionFromOwner(t, conn);
     if (owner != atomic) {
       CreateConnection(t, owner, PickTarget2(comp_index, atomic, owner),
                        owner);
     }
   }
-  ODBGC_CHECK(atomics_.at(atomic).in_conns.empty());
+  ODBGC_CHECK(Atomic(atomic).in_conns.empty());
 
   // 2. Unlink the part from the composite's part list (it stays pinned
   //    by the workspace reference).
@@ -328,7 +456,7 @@ void Oo7Generator::DeleteAtomic(Trace* t, ObjectId atomic) {
   //    at that instant; the head dies when the part's list-head slot is
   //    cleared.
   t->Append(WriteRefEvent(atomic, kAtomicNextSlot, kNullObject));
-  AtomicInfo& doomed = atomics_.at(atomic);
+  const AtomicInfo& doomed = Atomic(atomic);
   const std::vector<ObjectId>& chain = doomed.conns;  // front = head
   for (size_t i = chain.size(); i-- > 0;) {
     ObjectId conn = chain[i];
@@ -338,8 +466,7 @@ void Oo7Generator::DeleteAtomic(Trace* t, ObjectId atomic) {
     if (i + 1 < chain.size()) {
       t->Append(GarbageMarkEvent(kConnectionBytes, 1));  // successor died
     }
-    const ConnInfo& ci = conns_.at(conn);
-    AtomicInfo& target = atomics_.at(ci.target);
+    AtomicInfo& target = Atomic(Conn(conn).target);
     auto tin =
         std::find(target.in_conns.begin(), target.in_conns.end(), conn);
     ODBGC_CHECK(tin != target.in_conns.end());
@@ -348,14 +475,14 @@ void Oo7Generator::DeleteAtomic(Trace* t, ObjectId atomic) {
   if (!chain.empty()) {
     t->Append(WriteRefEvent(atomic, kAtomicConnHeadSlot, kNullObject));
     t->Append(GarbageMarkEvent(kConnectionBytes, 1));  // head died
-    for (ObjectId conn : chain) conns_.erase(conn);
+    for (ObjectId conn : chain) FreeConn(conn);
   }
 
   // 5. Release the workspace pin: the part itself is now garbage
   //    (Figure 3's detachable cluster is fully detached).
   t->Append(RemoveRootEvent(atomic));
   t->Append(GarbageMarkEvent(kAtomicBytes, 1));
-  atomics_.erase(atomic);
+  FreeAtomic(atomic);
 }
 
 ObjectId Oo7Generator::ReinsertAtomic(Trace* t, size_t comp_index,
@@ -372,9 +499,7 @@ ObjectId Oo7Generator::ReinsertAtomic(Trace* t, size_t comp_index,
   t->Append(WriteRefEvent(part, kAtomicNextSlot, old_head));
   t->Append(WriteRefEvent(comp.id, kCompositePartHeadSlot, part));
   comp.parts.insert(comp.parts.begin(), part);
-  AtomicInfo info;
-  info.composite = comp_index;
-  atomics_.emplace(part, std::move(info));
+  AddAtomic(part, comp_index);
   for (uint32_t k = 0; k < params_.num_conn_per_atomic; ++k) {
     CreateConnection(t, part, PickTarget(comp_index, part), hint);
   }
@@ -436,12 +561,16 @@ void Oo7Generator::TraverseComposite(Trace* t, size_t comp_index,
                                      int updates_per_part) {
   const CompositeInfo& comp = composites_[comp_index];
   t->Append(ReadEvent(comp.id));
-  std::unordered_set<ObjectId> visited;
-  std::vector<ObjectId> stack;
+  if (++visit_epoch_ == 0) {  // wrapped: clear every stale stamp
+    for (AtomicInfo& a : atomics_) a.visited = 0;
+    visit_epoch_ = 1;
+  }
+  std::vector<ObjectId>& stack = traverse_stack_;
   for (ObjectId first : comp.parts) {
-    if (visited.count(first) != 0) continue;
+    AtomicInfo& first_info = Atomic(first);
+    if (first_info.visited == visit_epoch_) continue;
+    first_info.visited = visit_epoch_;
     stack.push_back(first);
-    visited.insert(first);
     while (!stack.empty()) {
       ObjectId part = stack.back();
       stack.pop_back();
@@ -449,11 +578,12 @@ void Oo7Generator::TraverseComposite(Trace* t, size_t comp_index,
       for (int u = 0; u < updates_per_part; ++u) {
         t->Append(UpdateEvent(part));
       }
-      const AtomicInfo& info = atomics_.at(part);
-      for (ObjectId conn : info.conns) {
+      for (ObjectId conn : Atomic(part).conns) {
         t->Append(ReadEvent(conn));
-        ObjectId target = conns_.at(conn).target;
-        if (visited.insert(target).second) {
+        const ObjectId target = Conn(conn).target;
+        AtomicInfo& target_info = Atomic(target);
+        if (target_info.visited != visit_epoch_) {
+          target_info.visited = visit_epoch_;
           stack.push_back(target);
         }
       }
@@ -471,10 +601,6 @@ void Oo7Generator::Traverse(Trace* t) {
 
 void Oo7Generator::TraverseT2(Trace* t, int updates_per_part) {
   ODBGC_CHECK(generated_);
-  std::unordered_map<ObjectId, size_t> comp_index;
-  for (size_t c = 0; c < composites_.size(); ++c) {
-    if (composites_[c].alive) comp_index[composites_[c].id] = c;
-  }
   for (ObjectId module : module_ids_) {
     t->Append(ReadEvent(module));
   }
@@ -483,7 +609,7 @@ void Oo7Generator::TraverseT2(Trace* t, int updates_per_part) {
     if (!assm.base) continue;
     for (ObjectId comp_id : assm.children) {
       if (comp_id == kNullObject) continue;
-      TraverseComposite(t, comp_index.at(comp_id), updates_per_part);
+      TraverseComposite(t, CompositeIndex(comp_id), updates_per_part);
     }
   }
 }
@@ -491,10 +617,6 @@ void Oo7Generator::TraverseT2(Trace* t, int updates_per_part) {
 void Oo7Generator::TraverseT6(Trace* t) {
   ODBGC_CHECK(generated_);
   // Sparse traversal: hierarchy, composite, and its first atomic part.
-  std::unordered_map<ObjectId, size_t> comp_index;
-  for (size_t c = 0; c < composites_.size(); ++c) {
-    if (composites_[c].alive) comp_index[composites_[c].id] = c;
-  }
   for (ObjectId module : module_ids_) {
     t->Append(ReadEvent(module));
   }
@@ -503,7 +625,7 @@ void Oo7Generator::TraverseT6(Trace* t) {
     if (!assm.base) continue;
     for (ObjectId comp_id : assm.children) {
       if (comp_id == kNullObject) continue;
-      const CompositeInfo& comp = composites_[comp_index.at(comp_id)];
+      const CompositeInfo& comp = composites_[CompositeIndex(comp_id)];
       t->Append(ReadEvent(comp.id));
       if (!comp.parts.empty()) {
         t->Append(ReadEvent(comp.parts.front()));
@@ -516,7 +638,7 @@ uint64_t Oo7Generator::CompositeClusterBytes(
     const CompositeInfo& comp) const {
   uint64_t conns = 0;
   for (ObjectId part : comp.parts) {
-    conns += atomics_.at(part).conns.size();
+    conns += Atomic(part).conns.size();
   }
   return kCompositeBytes +
          static_cast<uint64_t>(comp.doc_nodes.size()) * kDocNodeBytes +
@@ -528,7 +650,7 @@ uint32_t Oo7Generator::CompositeClusterObjects(
     const CompositeInfo& comp) const {
   uint64_t conns = 0;
   for (ObjectId part : comp.parts) {
-    conns += atomics_.at(part).conns.size();
+    conns += Atomic(part).conns.size();
   }
   return static_cast<uint32_t>(1 + comp.doc_nodes.size() +
                                comp.parts.size() + conns);
@@ -605,14 +727,11 @@ int Oo7Generator::StructuralDelete(Trace* t, int count) {
                                cluster_objects));
     comp.refs.clear();
 
-    // Shadow teardown.
+    // Shadow teardown. Connections never leave their composite, so the
+    // parts' own lists hold every connection that dies here.
     for (ObjectId part : comp.parts) {
-      for (ObjectId conn : atomics_.at(part).conns) {
-        conns_.erase(conn);
-      }
-    }
-    for (ObjectId part : comp.parts) {
-      atomics_.erase(part);
+      for (ObjectId conn : Atomic(part).conns) FreeConn(conn);
+      FreeAtomic(part);
     }
     comp.parts.clear();
     comp.doc_nodes.clear();

@@ -34,6 +34,7 @@ class Trace {
 
   void Append(const TraceEvent& e) { events_.push_back(e); }
   void Reserve(size_t n) { events_.reserve(n); }
+  size_t capacity() const { return events_.capacity(); }
 
   const std::vector<TraceEvent>& events() const { return events_; }
   size_t size() const { return events_.size(); }

@@ -341,6 +341,46 @@ TEST(Oo7GeneratorTest, PhaseMarksPresentInFullApplication) {
   EXPECT_EQ(phases[3], Phase::kReorg2);
 }
 
+TEST(Oo7GeneratorTest, FullApplicationNeverOutgrowsItsReservation) {
+  // GenerateFullApplication allocates its trace once. A trace that
+  // outgrew the reservation would have been reallocated to a larger
+  // capacity, so capacity == reservation proves it never grew; the
+  // reservation may exceed the final size by at most 15%. The id table
+  // is reserved the same way.
+  const Oo7Params presets[] = {Oo7Params::Tiny(), Oo7Params::SmallPrime(),
+                               Oo7Params::Small()};
+  for (const Oo7Params& preset : presets) {
+    for (uint32_t connectivity : {3u, 6u, 9u}) {
+      Oo7Params p = preset;
+      p.num_conn_per_atomic = connectivity;
+      const Oo7Generator::Reservation reserve =
+          Oo7Generator::FullApplicationReserve(p);
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(testing::Message()
+                     << "comps " << p.num_comp_per_module << " connectivity "
+                     << connectivity << " seed " << seed);
+        Oo7Generator gen(p, seed);
+        Trace t = gen.GenerateFullApplication();
+        EXPECT_EQ(t.capacity(), reserve.events);
+        EXPECT_LE(t.size(), reserve.events);
+        EXPECT_LE(reserve.events * 100, t.size() * 115);
+        EXPECT_LE(gen.next_object_id(), reserve.ids + 1);
+      }
+    }
+  }
+  // The idle mark gets its own slot.
+  Trace idle = Oo7Generator(Oo7Params::Tiny(), 1).GenerateFullApplication(50);
+  EXPECT_EQ(idle.capacity(),
+            Oo7Generator::FullApplicationReserve(Oo7Params::Tiny()).events +
+                1);
+  // Small's trace stays below glibc's 32 MiB ceiling for its dynamic
+  // mmap threshold, so a regenerated trace reuses the freed heap instead
+  // of faulting in a fresh mapping.
+  EXPECT_LT(Oo7Generator::FullApplicationReserve(Oo7Params::Small()).events *
+                sizeof(TraceEvent),
+            size_t{32} << 20);
+}
+
 TEST(Oo7GeneratorTest, SmallPrimeTraceSizeIsReasonable) {
   Oo7Generator gen(Oo7Params::SmallPrime(), 12);
   Trace t = gen.GenerateFullApplication();
