@@ -25,16 +25,18 @@ inline constexpr int kExitSpaceExhausted = 6; // --max-db-mb capacity hit
                                               // with no way to grow
 
 // Flag vocabulary shared by the CLI tools. All functions return false
-// and fill *error on unknown values.
+// and fill *error on unknown values and on counts out of range.
 
-// --oo7=smallprime|small|tiny  --connectivity=N  --modules=N
+// --oo7=smallprime|small|tiny  --connectivity=N  --modules=N (each N in
+// [1, 64])
 bool BuildOo7Params(const Flags& flags, Oo7Params* params,
                     std::string* error);
 
 // --workload=oo7|uniform-churn|bursty-deletes|growing-db|message-queue
-// --seed=N plus per-workload knobs (--cycles, --lists, --bursts, ...).
-// For oo7: the Oo7Params flags above and --idle-after-reorg1=N to insert
-// a quiescent window.
+// --seed=N plus per-workload knobs (--cycles, --lists, --bursts, ...;
+// --lists, --length, --bursts, --retain-every and --batch must be
+// positive). For oo7: the Oo7Params flags above and
+// --idle-after-reorg1=N to insert a quiescent window.
 bool BuildWorkloadTrace(const Flags& flags, Trace* trace,
                         std::string* error);
 
