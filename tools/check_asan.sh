@@ -5,8 +5,9 @@
 # injector, crash recovery, and the heap verifier (plus the corrupt-trace
 # loader corpora, which is where a reader bug would touch memory it
 # should not), the checkpoint codecs, the report encoder, the overload
-# governor, and the fleet engine, whose pool tasks must never outlive
-# the frame that started them, even when Run() unwinds. Then it runs a
+# governor, the fleet engine, whose pool tasks must never outlive the
+# frame that started them, even when Run() unwinds, the OO7 generator's
+# id-indexed shadow graph, and the CLI's flag range rules. Then it runs a
 # short chaos soak and recovery fuzz on the sanitized odbgc_run: those
 # scripts are the only end-to-end drivers of the collector's crash and
 # corrupt-abort branches.
@@ -18,7 +19,7 @@ BUILD_DIR="${1:-build-asan}"
 TESTS=(fault_injection_test self_healing_test recovery_test buffer_pool_test
        fuzz_test storage_test collector_test checkpoint_test
        stream_determinism_test golden_output_test overload_test
-       multi_tenant_test client_mux_test)
+       multi_tenant_test client_mux_test oo7_test flags_test)
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
