@@ -102,6 +102,8 @@ const char* TraceLoadErrorName(TraceLoadError e) {
       return "bad-event-kind";
     case TraceLoadError::kTrailingBytes:
       return "trailing-bytes";
+    case TraceLoadError::kBadObjectId:
+      return "bad-object-id";
   }
   return "unknown";
 }
@@ -110,7 +112,7 @@ TraceLoadError Trace::Load(const std::string& path, Trace* out) {
   constexpr uint64_t kHeaderBytes = sizeof(kMagic) + sizeof(kVersion) +
                                     sizeof(uint64_t);
   constexpr uint64_t kRecordBytes = 5 * sizeof(uint32_t);
-  out->events_.clear();
+  *out = Trace();
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return TraceLoadError::kOpenFailed;
   uint32_t magic = 0;
@@ -155,17 +157,24 @@ TraceLoadError Trace::Load(const std::string& path, Trace* out) {
                              ? static_cast<size_t>(remaining)
                              : kBatchRecords;
     if (std::fread(buf.data(), kRecordBytes, batch, f.get()) != batch) {
-      out->events_.clear();
+      *out = Trace();
       return TraceLoadError::kTruncatedEvents;
     }
     for (size_t i = 0; i < batch; ++i) {
       const uint32_t* rec = &buf[i * 5];
       if (rec[0] > static_cast<uint32_t>(EventKind::kUpdate)) {
-        out->events_.clear();
+        *out = Trace();
         return TraceLoadError::kBadEventKind;
       }
-      out->events_.push_back(TraceEvent{static_cast<EventKind>(rec[0]),
-                                        rec[1], rec[2], rec[3], rec[4]});
+      // Id 0 is the null reference, and the store's id-indexed arrays
+      // need room for id + 1 entries.
+      if (rec[0] == static_cast<uint32_t>(EventKind::kCreate) &&
+          (rec[1] == 0 || rec[1] == UINT32_MAX)) {
+        *out = Trace();
+        return TraceLoadError::kBadObjectId;
+      }
+      out->Append(TraceEvent{static_cast<EventKind>(rec[0]), rec[1], rec[2],
+                             rec[3], rec[4]});
     }
     remaining -= batch;
   }

@@ -4,6 +4,8 @@
 // markers, or the scanner ever disagree, these tests fail.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -281,6 +283,30 @@ TEST(CorruptTraceTest, BadEventKindAndTrailingBytes) {
             TraceLoadError::kOpenFailed);
 }
 
+TEST(CorruptTraceTest, CreateIdsTheStoreCannotIndexAreRejected) {
+  std::string path = CorpusPath("badid.trace");
+  std::vector<unsigned char> good = ValidTraceBytes(path);
+
+  // Bytes 20-23 are the first record's (a create's) object id: id 0 is
+  // the null reference, and UINT32_MAX + 1 wraps the store's array size.
+  for (uint32_t id : {0u, UINT32_MAX}) {
+    std::vector<unsigned char> bad = good;
+    std::memcpy(&bad[20], &id, sizeof(id));
+    WriteAllBytes(path, bad);
+    Trace out;
+    EXPECT_EQ(Trace::Load(path, &out), TraceLoadError::kBadObjectId) << id;
+    EXPECT_TRUE(out.empty()) << id;
+    EXPECT_EQ(out.create_id_bound(), 0u) << id;
+  }
+  // The same ids elsewhere are payload, not object ids.
+  std::vector<unsigned char> other = good;
+  const uint32_t max_id = UINT32_MAX;
+  std::memcpy(&other[16 + 4 * 20 + 4], &max_id, sizeof(max_id));  // a read
+  WriteAllBytes(path, other);
+  Trace out;
+  EXPECT_EQ(Trace::Load(path, &out), TraceLoadError::kNone);
+}
+
 TEST(CorruptTraceTest, SingleByteFlipSweepNeverCrashesLoader) {
   std::string path = CorpusPath("byteflip.trace");
   std::vector<unsigned char> good = ValidTraceBytes(path);
@@ -307,6 +333,8 @@ TEST(CorruptTraceTest, ErrorNamesAreStable) {
                "truncated-events");
   EXPECT_STREQ(TraceLoadErrorName(TraceLoadError::kTrailingBytes),
                "trailing-bytes");
+  EXPECT_STREQ(TraceLoadErrorName(TraceLoadError::kBadObjectId),
+               "bad-object-id");
 }
 
 }  // namespace

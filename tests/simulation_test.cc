@@ -441,6 +441,44 @@ TEST(SimulationTest, EstimatorFeedCarriesTheSelectionOnGovernorBoosts) {
   ExpectFeedsMatchSelections(log);
 }
 
+TEST(SimulationTest, Oo7ReplayNeverOutgrowsTheStoreReservation) {
+  // Run sizes the store once from the trace. A replay that outgrew a
+  // reservation would have reallocated to a larger capacity, so capacity
+  // == reservation proves no array grew; the id bound is the replay's
+  // final array size, so nothing was reserved past it.
+  for (const Oo7Params& params : {Oo7Params::Tiny(), Oo7Params::SmallPrime()}) {
+    const Trace trace = Oo7Generator(params, 1).GenerateFullApplication();
+    for (PolicyKind policy : {PolicyKind::kSaga, PolicyKind::kFixedRate}) {
+      SCOPED_TRACE(testing::Message()
+                   << "comps " << params.num_comp_per_module << " policy "
+                   << static_cast<int>(policy));
+      SimConfig cfg;
+      cfg.policy = policy;
+      cfg.fixed_rate_overwrites = 25;  // collects even on Tiny
+      Simulation sim(cfg);
+      const SimResult r = sim.Run(trace);
+      if (policy == PolicyKind::kFixedRate) {
+        EXPECT_GT(r.collections, 0u);
+      }
+      const ObjectStore::Capacities cap = sim.store().capacities();
+      EXPECT_EQ(cap.objects, trace.create_id_bound());
+      EXPECT_EQ(cap.in_refs, trace.create_id_bound());
+      EXPECT_EQ(cap.slots, trace.created_slot_total());
+      EXPECT_EQ(sim.store().max_object_id() + 1u, trace.create_id_bound());
+    }
+  }
+}
+
+TEST(SimulationDeathTest, CreateOfTheLastIdAbortsOnTheStoreCheck) {
+  // UINT32_MAX is left out of the trace's bound, so the replay reserves
+  // nothing for it and dies on CreateObject's check instead of writing
+  // past a wrapped array size.
+  Trace t;
+  t.Append(CreateEvent(UINT32_MAX, 64, 0));
+  EXPECT_EQ(t.create_id_bound(), 0u);
+  EXPECT_DEATH(RunSimulation(TinyConfig(), t), "no room for its entry");
+}
+
 TEST(RunnerTest, RunOo7ManyAggregatesAcrossSeeds) {
   SimConfig cfg = TinyConfig();
   cfg.policy = PolicyKind::kFixedRate;

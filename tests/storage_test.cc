@@ -284,5 +284,12 @@ TEST(ObjectStoreDeathTest, ObjectLargerThanPartitionAborts) {
   EXPECT_DEATH(store.CreateObject(1, 5000, 0), "");
 }
 
+TEST(ObjectStoreDeathTest, IdsWithoutAnArrayEntryAbort) {
+  ObjectStore store(SmallStore());
+  EXPECT_DEATH(store.CreateObject(kNullObject, 100, 0), "");
+  EXPECT_DEATH(store.CreateObject(UINT32_MAX, 100, 0),
+               "no room for its entry");
+}
+
 }  // namespace
 }  // namespace odbgc
