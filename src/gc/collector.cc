@@ -368,7 +368,7 @@ uint64_t Collector::UpdateRememberedSets(ObjectStore& store,
   std::vector<RemsetTouch>& touches = remset_scratch_;
   touches.clear();
   const ObjectRecord* headers = store.header_arena();
-  const std::vector<InRef>* in_refs = store.in_ref_arena();
+  const InRefList* in_refs = store.in_ref_arena();
   for (ObjectId id : copy_order) {
     // A survivor's cross-partition in-ref counter is exactly the number
     // of entries this walk would keep; zero means the whole list is

@@ -165,7 +165,7 @@ VerifierReport VerifyHeap(const ObjectStore& store,
     for (size_t j = 0; j < slots.size(); ++j) {
       const ObjectId target = slots[j].target;
       if (target == kNullObject || !store.Exists(target)) continue;
-      const std::vector<InRef>& tin = store.in_refs(target);
+      const InRefList& tin = store.in_refs(target);
       const uint32_t b = slots[j].backref;
       if (b >= tin.size() || tin[b].src != id ||
           tin[b].backref_pos != rec.slot_begin + j) {
@@ -276,7 +276,7 @@ VerifierReport VerifyPartition(const ObjectStore& store, PartitionId pid,
         sink.Add("object %u slot points at destroyed object %u", id, target);
         continue;
       }
-      const std::vector<InRef>& tin = store.in_refs(target);
+      const InRefList& tin = store.in_refs(target);
       const uint32_t b = slots[j].backref;
       if (b >= tin.size() || tin[b].src != id ||
           tin[b].backref_pos != rec.slot_begin + j) {

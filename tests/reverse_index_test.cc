@@ -3,8 +3,10 @@
 // slot back-pointers, the cross-partition in-ref counters, and the
 // allocation free-space index with the heap verifier at every
 // collection. A desynced index must also die loudly on the hot path,
-// which the death tests pin down.
+// which the death tests pin down. The in-ref list itself is checked
+// against a std::vector model.
 
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -29,6 +31,175 @@ VerifierOptions BareOptions() {
   // The churn test does not maintain ground-truth garbage markers.
   options.check_reachability_agreement = false;
   return options;
+}
+
+void ExpectSameEntries(const InRefList& list, const std::vector<InRef>& model) {
+  ASSERT_EQ(list.size(), model.size());
+  for (size_t i = 0; i < model.size(); ++i) {
+    EXPECT_EQ(list[i], model[i]) << "index " << i;
+  }
+  EXPECT_EQ(list.end() - list.begin(), static_cast<ptrdiff_t>(model.size()));
+}
+
+// The store's swap-erase: the last entry fills the hole.
+template <class List>
+void SwapErase(List& list, size_t idx) {
+  list[idx] = list[list.size() - 1];
+  list.pop_back();
+}
+
+TEST(InRefListTest, SpillsPastTwoAndKeepsVectorOrder) {
+  InRefList list;
+  std::vector<InRef> model;
+  EXPECT_TRUE(list.empty());
+  EXPECT_TRUE(list.is_inline());
+  for (uint32_t i = 1; i <= 2; ++i) {
+    list.push_back(InRef{i, 10 * i});
+    model.push_back(InRef{i, 10 * i});
+  }
+  EXPECT_TRUE(list.is_inline());
+  EXPECT_EQ(list.capacity(), InRefList::kInline);
+  ExpectSameEntries(list, model);
+
+  // Swap-erase inside the inline region.
+  SwapErase(list, 0);
+  SwapErase(model, 0);
+  ExpectSameEntries(list, model);
+
+  // The third entry spills every entry to the heap, in order.
+  for (uint32_t i = 3; i <= 7; ++i) {
+    list.push_back(InRef{i, 10 * i});
+    model.push_back(InRef{i, 10 * i});
+  }
+  EXPECT_FALSE(list.is_inline());
+  EXPECT_EQ(list.capacity(), 8u);
+  ExpectSameEntries(list, model);
+
+  // Swap-erase on the heap, at the front, the middle and the end.
+  for (size_t idx : {size_t{0}, size_t{2}, list.size() - 1}) {
+    SwapErase(list, idx);
+    SwapErase(model, idx);
+    ExpectSameEntries(list, model);
+  }
+
+  // Positional erase and insert shift the tail (recovery_test's edit).
+  const InRef removed = list[1];
+  list.erase(list.begin() + 1);
+  model.erase(model.begin() + 1);
+  ExpectSameEntries(list, model);
+  EXPECT_EQ(list.insert(list.begin() + 1, removed), list.begin() + 1);
+  model.insert(model.begin() + 1, removed);
+  ExpectSameEntries(list, model);
+  // Inserting into a full list grows it; the entry may alias the list.
+  while (list.size() < list.capacity()) {
+    list.push_back(list[0]);
+    model.push_back(model[0]);
+  }
+  list.insert(list.begin(), list[list.size() - 1]);
+  model.insert(model.begin(), model.back());
+  ExpectSameEntries(list, model);
+  list.insert(list.end(), InRef{99, 990});
+  model.insert(model.end(), InRef{99, 990});
+  ExpectSameEntries(list, model);
+
+  // Clear keeps the heap block; shrink_to_fit returns it once the
+  // entries fit inline, and keeps it while they do not.
+  const size_t heap_capacity = list.capacity();
+  list.clear();
+  EXPECT_TRUE(list.empty());
+  EXPECT_EQ(list.capacity(), heap_capacity);
+  for (uint32_t i = 1; i <= 3; ++i) list.push_back(InRef{i, i});
+  list.shrink_to_fit();
+  EXPECT_EQ(list.capacity(), heap_capacity);
+  list.pop_back();
+  list.shrink_to_fit();
+  EXPECT_TRUE(list.is_inline());
+  ExpectSameEntries(list, {InRef{1, 1}, InRef{2, 2}});
+  list.clear();
+  list.shrink_to_fit();
+  EXPECT_TRUE(list.is_inline());
+  EXPECT_TRUE(list.empty());
+}
+
+TEST(InRefListTest, MovesTakeInlineAndHeapEntries) {
+  InRefList small;
+  small.push_back(InRef{1, 1});
+  InRefList big;
+  for (uint32_t i = 1; i <= 5; ++i) big.push_back(InRef{i, i});
+
+  InRefList from_small(std::move(small));
+  ExpectSameEntries(from_small, {InRef{1, 1}});
+  EXPECT_TRUE(small.empty());
+  EXPECT_TRUE(small.is_inline());
+  const InRef* heap_entries = big.data();
+  InRefList from_big(std::move(big));
+  EXPECT_EQ(from_big.data(), heap_entries);  // the block moves, not a copy
+  EXPECT_EQ(from_big.size(), 5u);
+  EXPECT_TRUE(big.empty());
+  EXPECT_TRUE(big.is_inline());
+
+  // Assignment frees the target's block and takes the source's.
+  from_small = std::move(from_big);
+  EXPECT_EQ(from_small.data(), heap_entries);
+  EXPECT_EQ(from_small.size(), 5u);
+  from_big.push_back(InRef{7, 7});  // a moved-from list is usable
+  ExpectSameEntries(from_big, {InRef{7, 7}});
+
+  // A vector of lists relocates them on growth without losing entries.
+  std::vector<InRefList> lists(3);
+  for (uint32_t i = 0; i < 3; ++i) {
+    for (uint32_t j = 0; j <= 2 * i; ++j) lists[i].push_back(InRef{i, j});
+  }
+  lists.resize(lists.capacity() + 1);
+  for (uint32_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(lists[i].size(), 2 * i + 1);
+    for (uint32_t j = 0; j <= 2 * i; ++j) {
+      EXPECT_EQ(lists[i][j], (InRef{i, j}));
+    }
+  }
+}
+
+TEST(InRefListTest, RandomOperationsMatchAVector) {
+  Rng rng(0x1e5);
+  InRefList list;
+  std::vector<InRef> model;
+  int inline_steps = 0;
+  for (int step = 0; step < 20000; ++step) {
+    // Alternate 100 steps that mostly grow the list with 100 that mostly
+    // drain it, so it crosses the inline boundary again and again.
+    const uint64_t push_share = (step / 100) % 2 == 0 ? 60 : 10;
+    const InRef entry{static_cast<ObjectId>(rng.NextBelow(1000)),
+                      static_cast<uint32_t>(step)};
+    const uint64_t op = rng.NextBelow(100);
+    const uint64_t other = rng.NextBelow(100);
+    if (op < push_share || model.empty()) {
+      list.push_back(entry);
+      model.push_back(entry);
+    } else if (other < 60) {
+      const size_t idx = rng.NextBelow(model.size());
+      SwapErase(list, idx);
+      SwapErase(model, idx);
+    } else if (other < 75) {
+      const size_t idx = rng.NextBelow(model.size());
+      list.erase(list.begin() + idx);
+      model.erase(model.begin() + idx);
+    } else if (other < 85) {
+      const size_t idx = rng.NextBelow(model.size() + 1);
+      list.insert(list.begin() + idx, entry);
+      model.insert(model.begin() + idx, entry);
+    } else if (other < 97) {
+      list.shrink_to_fit();
+    } else {
+      InRefList moved(std::move(list));
+      list = std::move(moved);
+    }
+    ExpectSameEntries(list, model);
+    if (testing::Test::HasFailure()) FAIL() << "step " << step;
+    inline_steps += list.is_inline() ? 1 : 0;
+  }
+  // Both regions saw over a thousand operations.
+  EXPECT_GT(inline_steps, 1000);
+  EXPECT_LT(inline_steps, 18000);
 }
 
 TEST(ReverseIndexChurnTest, RandomChurnStaysConsistentAcrossCollections) {
