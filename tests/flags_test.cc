@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
@@ -218,6 +220,76 @@ TEST(ToolCommonTest, BuildWorkloadTraceRejectsNonPositiveCounts) {
     EXPECT_TRUE(tools::BuildWorkloadTrace(ParseOk(args), &trace, &error))
         << args.front() << ": " << error;
     EXPECT_FALSE(trace.empty()) << args.front();
+  }
+}
+
+TEST(ToolCommonTest, BuildWorkloadTraceRejectsOutOfRangeLoopCounts) {
+  // Unchecked, each of these was narrowed as it came: a negative or zero
+  // count ran no loop (a 2-event churn trace, a structural app of GenDb
+  // alone, a T2 without updates) and exited 0, and a negative idle bound
+  // became an idle mark allowing 4,294,967,295 collections. A missing
+  // rule would still build a small trace here.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> bad = {
+      {{"--workload=uniform-churn", "--cycles=-5"}, "--cycles"},
+      {{"--workload=uniform-churn", "--cycles=0"}, "--cycles"},
+      {{"--workload=growing-db", "--cycles=-1"}, "--cycles"},
+      {{"--workload=message-queue", "--cycles=2147483648"}, "--cycles"},
+      {{"--workload=bursty-deletes", "--quiet-cycles=-1"}, "--quiet-cycles"},
+      {{"--app=structural", "--rounds=-2"}, "--rounds"},
+      {{"--app=structural", "--rounds=0"}, "--rounds"},
+      {{"--app=structural", "--per-round=0"}, "--per-round"},
+      {{"--app=t2", "--updates-per-part=-5"}, "--updates-per-part"},
+      {{"--app=t2", "--updates-per-part=0"}, "--updates-per-part"},
+      {{"--idle-after-reorg1=-1"}, "--idle-after-reorg1"},
+      {{"--idle-after-reorg1=4294967296"}, "--idle-after-reorg1"},
+  };
+  for (auto [args, flag] : bad) {
+    if (args.front().rfind("--workload=", 0) != 0) {
+      args.insert(args.begin(), {"--workload=oo7", "--oo7=tiny"});
+    }
+    Trace trace;
+    std::string error;
+    EXPECT_FALSE(tools::BuildWorkloadTrace(ParseOk(args), &trace, &error))
+        << testing::PrintToString(args);
+    EXPECT_TRUE(trace.empty()) << testing::PrintToString(args);
+    EXPECT_EQ(error.rfind(flag, 0), 0u)
+        << testing::PrintToString(args) << ": " << error;
+  }
+
+  // 0 means "none" where it is allowed, and each range's ends build.
+  const std::vector<std::vector<std::string>> good = {
+      {"--workload=uniform-churn", "--cycles=1"},
+      {"--workload=growing-db", "--cycles=1"},
+      {"--workload=message-queue", "--cycles=1"},
+      {"--workload=bursty-deletes", "--quiet-cycles=0", "--bursts=2"},
+      {"--workload=oo7", "--oo7=tiny", "--app=structural", "--rounds=1",
+       "--per-round=1"},
+      {"--workload=oo7", "--oo7=tiny", "--app=t2", "--updates-per-part=1"},
+  };
+  for (const std::vector<std::string>& args : good) {
+    Trace trace;
+    std::string error;
+    EXPECT_TRUE(tools::BuildWorkloadTrace(ParseOk(args), &trace, &error))
+        << testing::PrintToString(args) << ": " << error;
+    EXPECT_FALSE(trace.empty()) << testing::PrintToString(args);
+  }
+  for (uint32_t idle : {0u, UINT32_MAX}) {
+    Trace trace;
+    std::string error;
+    ASSERT_TRUE(tools::BuildWorkloadTrace(
+        ParseOk({"--workload=oo7", "--oo7=tiny",
+                 "--idle-after-reorg1=" + std::to_string(idle)}),
+        &trace, &error))
+        << error;
+    const auto marks = std::count_if(
+        trace.events().begin(), trace.events().end(),
+        [](const TraceEvent& e) { return e.kind == EventKind::kIdleMark; });
+    EXPECT_EQ(marks, idle == 0 ? 0 : 1) << idle;
+    for (const TraceEvent& e : trace.events()) {
+      if (e.kind == EventKind::kIdleMark) {
+        EXPECT_EQ(e.a, idle);
+      }
+    }
   }
 }
 

@@ -7,10 +7,12 @@
 # should not), the checkpoint codecs, the report encoder, the overload
 # governor, the fleet engine, whose pool tasks must never outlive the
 # frame that started them, even when Run() unwinds, the OO7 generator's
-# id-indexed shadow graph, and the CLI's flag range rules. Then it runs a
-# short chaos soak and recovery fuzz on the sanitized odbgc_run: those
-# scripts are the only end-to-end drivers of the collector's crash and
-# corrupt-abort branches.
+# id-indexed shadow graph, the CLI's flag range rules, the in-ref list's
+# inline-to-heap spill and swap-erase, the trace loader's object-id
+# rejection and the replay into a store reserved from the trace. Then
+# it runs a short chaos soak and recovery fuzz on the sanitized
+# odbgc_run: those scripts are the only end-to-end drivers of the
+# collector's crash and corrupt-abort branches.
 # Usage: tools/check_asan.sh [build-dir]
 set -euo pipefail
 
@@ -19,7 +21,8 @@ BUILD_DIR="${1:-build-asan}"
 TESTS=(fault_injection_test self_healing_test recovery_test buffer_pool_test
        fuzz_test storage_test collector_test checkpoint_test
        stream_determinism_test golden_output_test overload_test
-       multi_tenant_test client_mux_test oo7_test flags_test)
+       multi_tenant_test client_mux_test oo7_test flags_test
+       reverse_index_test trace_test simulation_test)
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

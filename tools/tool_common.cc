@@ -13,16 +13,17 @@ namespace odbgc::tools {
 namespace {
 
 // Reads count flag `name`, defaulting to *value. A value outside
-// [1, max] fails with *error naming the flag, before it is narrowed to
-// T: the generators CHECK their counts, and a negative one would wrap
-// to a huge unsigned request.
+// [min, max] fails with *error naming the flag, before it is narrowed
+// to T: the generators CHECK their counts, a negative one would wrap to
+// a huge unsigned request, and a zero would build a degenerate trace.
+// `min` is 0 only where 0 means "none".
 template <typename T>
-bool ReadCount(const Flags& flags, const char* name, int64_t max, T* value,
-               std::string* error) {
+bool ReadCount(const Flags& flags, const char* name, int64_t min,
+               int64_t max, T* value, std::string* error) {
   const int64_t v = flags.GetInt(name, static_cast<int64_t>(*value));
-  if (v < 1 || v > max) {
-    *error = std::string("--") + name + " must be in [1, " +
-             std::to_string(max) + "]";
+  if (v < min || v > max) {
+    *error = std::string("--") + name + " must be in [" +
+             std::to_string(min) + ", " + std::to_string(max) + "]";
     return false;
   }
   *value = static_cast<T>(v);
@@ -30,6 +31,7 @@ bool ReadCount(const Flags& flags, const char* name, int64_t max, T* value,
 }
 
 constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr int64_t kMaxUint32 = std::numeric_limits<uint32_t>::max();
 
 }  // namespace
 
@@ -48,9 +50,9 @@ bool BuildOo7Params(const Flags& flags, Oo7Params* params,
   }
   // --connectivity takes the harnesses' range. A module of Small is a
   // 1.26M-event (25 MB) trace, so 64 modules already make 1.6 GB.
-  return ReadCount(flags, "connectivity", 64, &params->num_conn_per_atomic,
-                   error) &&
-         ReadCount(flags, "modules", 64, &params->num_modules, error);
+  return ReadCount(flags, "connectivity", 1, 64,
+                   &params->num_conn_per_atomic, error) &&
+         ReadCount(flags, "modules", 1, 64, &params->num_modules, error);
 }
 
 bool BuildWorkloadTrace(const Flags& flags, Trace* trace,
@@ -61,34 +63,44 @@ bool BuildWorkloadTrace(const Flags& flags, Trace* trace,
     Oo7Params params;
     if (!BuildOo7Params(flags, &params, error)) return false;
     Oo7Generator gen(params, seed);
-    int64_t idle = flags.GetInt("idle-after-reorg1", 0);
+    // The idle mark's collection bound; 0 inserts no idle period.
+    uint32_t idle = 0;
+    if (!ReadCount(flags, "idle-after-reorg1", 0, kMaxUint32, &idle, error)) {
+      return false;
+    }
     std::string app = flags.GetString("app", "yny");
     if (app == "yny") {
       // The paper's four-phase Yong/Naughton/Yu application.
-      *trace = gen.GenerateFullApplication(static_cast<uint32_t>(idle));
+      *trace = gen.GenerateFullApplication(idle);
     } else if (app == "structural") {
       // Rounds of whole-composite churn interleaved with traversals.
-      int64_t rounds = flags.GetInt("rounds", 6);
-      int64_t per_round = flags.GetInt("per-round", 10);
+      int rounds = 6;
+      int per_round = 10;
+      if (!ReadCount(flags, "rounds", 1, kMaxInt, &rounds, error) ||
+          !ReadCount(flags, "per-round", 1, kMaxInt, &per_round, error)) {
+        return false;
+      }
       trace->Append(PhaseMarkEvent(Phase::kGenDb));
       gen.GenDb(trace);
-      for (int64_t r = 0; r < rounds; ++r) {
+      for (int r = 0; r < rounds; ++r) {
         trace->Append(PhaseMarkEvent(Phase::kReorg1));
-        gen.StructuralDelete(trace, static_cast<int>(per_round));
-        gen.StructuralInsert(trace, static_cast<int>(per_round));
-        if (idle != 0 && r == 0) {
-          trace->Append(IdleMarkEvent(static_cast<uint32_t>(idle)));
-        }
+        gen.StructuralDelete(trace, per_round);
+        gen.StructuralInsert(trace, per_round);
+        if (idle != 0 && r == 0) trace->Append(IdleMarkEvent(idle));
         trace->Append(PhaseMarkEvent(Phase::kTraverse));
         gen.TraverseT6(trace);
       }
     } else if (app == "t2") {
       // Build, then an update-heavy traversal (OO7 T2b/T2c style).
-      int64_t updates = flags.GetInt("updates-per-part", 1);
+      int updates = 1;
+      if (!ReadCount(flags, "updates-per-part", 1, kMaxInt, &updates,
+                     error)) {
+        return false;
+      }
       trace->Append(PhaseMarkEvent(Phase::kGenDb));
       gen.GenDb(trace);
       trace->Append(PhaseMarkEvent(Phase::kTraverse));
-      gen.TraverseT2(trace, static_cast<int>(updates));
+      gen.TraverseT2(trace, updates);
     } else {
       *error = "unknown --app '" + app + "' (yny|structural|t2)";
       return false;
@@ -98,9 +110,9 @@ bool BuildWorkloadTrace(const Flags& flags, Trace* trace,
   if (workload == "uniform-churn") {
     UniformChurnOptions o;
     o.seed = seed;
-    o.cycles = static_cast<int>(flags.GetInt("cycles", o.cycles));
-    if (!ReadCount(flags, "lists", kMaxInt, &o.list_count, error) ||
-        !ReadCount(flags, "length", kMaxInt, &o.target_length, error)) {
+    if (!ReadCount(flags, "cycles", 1, kMaxInt, &o.cycles, error) ||
+        !ReadCount(flags, "lists", 1, kMaxInt, &o.list_count, error) ||
+        !ReadCount(flags, "length", 1, kMaxInt, &o.target_length, error)) {
       return false;
     }
     *trace = MakeUniformChurn(o);
@@ -109,11 +121,12 @@ bool BuildWorkloadTrace(const Flags& flags, Trace* trace,
   if (workload == "bursty-deletes") {
     BurstyDeleteOptions o;
     o.seed = seed;
-    o.quiet_cycles_per_burst = static_cast<int>(
-        flags.GetInt("quiet-cycles", o.quiet_cycles_per_burst));
-    if (!ReadCount(flags, "bursts", kMaxInt, &o.bursts, error) ||
-        !ReadCount(flags, "lists", kMaxInt, &o.lists_per_burst, error) ||
-        !ReadCount(flags, "length", kMaxInt, &o.list_length, error)) {
+    // Bursts may follow one another without quiet cycles.
+    if (!ReadCount(flags, "quiet-cycles", 0, kMaxInt,
+                   &o.quiet_cycles_per_burst, error) ||
+        !ReadCount(flags, "bursts", 1, kMaxInt, &o.bursts, error) ||
+        !ReadCount(flags, "lists", 1, kMaxInt, &o.lists_per_burst, error) ||
+        !ReadCount(flags, "length", 1, kMaxInt, &o.list_length, error)) {
       return false;
     }
     *trace = MakeBurstyDeletes(o);
@@ -122,8 +135,9 @@ bool BuildWorkloadTrace(const Flags& flags, Trace* trace,
   if (workload == "growing-db") {
     GrowingDatabaseOptions o;
     o.seed = seed;
-    o.cycles = static_cast<int>(flags.GetInt("cycles", o.cycles));
-    if (!ReadCount(flags, "retain-every", kMaxInt, &o.retain_every, error)) {
+    if (!ReadCount(flags, "cycles", 1, kMaxInt, &o.cycles, error) ||
+        !ReadCount(flags, "retain-every", 1, kMaxInt, &o.retain_every,
+                   error)) {
       return false;
     }
     *trace = MakeGrowingDatabase(o);
@@ -132,8 +146,10 @@ bool BuildWorkloadTrace(const Flags& flags, Trace* trace,
   if (workload == "message-queue") {
     MessageQueueOptions o;
     o.seed = seed;
-    o.cycles = static_cast<int>(flags.GetInt("cycles", o.cycles));
-    if (!ReadCount(flags, "batch", kMaxInt, &o.batch, error)) return false;
+    if (!ReadCount(flags, "cycles", 1, kMaxInt, &o.cycles, error) ||
+        !ReadCount(flags, "batch", 1, kMaxInt, &o.batch, error)) {
+      return false;
+    }
     *trace = MakeMessageQueue(o);
     return true;
   }
