@@ -16,9 +16,8 @@
 //     streaming composition keeps it O(clients), independent of the
 //     fleet's total event volume.
 //
-// Small cells mix in OO7 replay tenants drawn from a TraceCache with an
-// LRU byte budget (--trace-cache-mb) so cache hits/misses/evictions are
-// exercised and reported.
+// Small cells mix in OO7 replay tenants drawn from a shared TraceCache,
+// whose hits and misses are reported.
 //
 // Emits BENCH_multi_tenant_run.json; the committed BENCH_multi_tenant.json
 // baseline pairs the measured 1-thread run ("before") with the measured
@@ -71,13 +70,12 @@ struct Args {
   uint32_t shards = 8;
   uint64_t seed = 1;
   int check_threads = 2;     // smallest cell re-run lane count (0 = skip)
-  uint64_t trace_cache_mb = 4;
   std::string json_out = "BENCH_multi_tenant_run.json";
 
   static constexpr const char* kUsage =
       "supported: --clients=N (0=sweep) --threads=N --shards=N --seed=N "
       "--check-threads=N (0 skips the determinism re-run) "
-      "--trace-cache-mb=N --json-out=PATH";
+      "--json-out=PATH";
 
   static Args Parse(int argc, char** argv) {
     Args args;
@@ -98,9 +96,6 @@ struct Args {
       } else if (std::strncmp(a, "--check-threads=", 16) == 0) {
         args.check_threads = static_cast<int>(
             BenchArgs::ParseIntOrDie("--check-threads", a + 16, 0, 1024));
-      } else if (std::strncmp(a, "--trace-cache-mb=", 17) == 0) {
-        args.trace_cache_mb = static_cast<uint64_t>(
-            BenchArgs::ParseIntOrDie("--trace-cache-mb", a + 17, 0, 65536));
       } else if (std::strncmp(a, "--json-out=", 11) == 0) {
         args.json_out = a + 11;
       } else {
@@ -148,7 +143,7 @@ odbgc::SimConfig ShardConfig() {
 
 // Builds and runs one cell. Small cells (<= 100 tenants) make every
 // fifth client an OO7 replay tenant sharing cached traces (6 distinct
-// seeds) so the TraceCache LRU is on the path; large cells are pure
+// seeds) so the TraceCache is on the path; large cells are pure
 // streaming generators, the O(clients)-memory regime.
 CellResult RunCell(const Cell& cell, const Args& args, int threads,
                    odbgc::TraceCache& cache) {
@@ -213,9 +208,6 @@ int main(int argc, char** argv) {
   }
 
   odbgc::TraceCache cache;
-  if (args.trace_cache_mb > 0) {
-    cache.set_byte_budget(args.trace_cache_mb << 20);
-  }
 
   // Determinism witness: the smallest cell must produce the same fleet
   // checksum at 1 apply lane and at --check-threads lanes.
@@ -273,10 +265,9 @@ int main(int argc, char** argv) {
               std::to_string(r.report.FleetChecksum())});
   }
   t.Print(std::cout);
-  std::printf("trace cache: %llu hits, %llu misses, %llu evictions\n",
+  std::printf("trace cache: %llu hits, %llu misses\n",
               static_cast<unsigned long long>(cache.hits()),
-              static_cast<unsigned long long>(cache.misses()),
-              static_cast<unsigned long long>(cache.evictions()));
+              static_cast<unsigned long long>(cache.misses()));
 
   odbgc::JsonWriter w;
   w.BeginObject();
@@ -290,14 +281,10 @@ int main(int argc, char** argv) {
   w.Value(args.seed);
   w.Key("trace_cache");
   w.BeginObject();
-  w.Key("budget_mb");
-  w.Value(args.trace_cache_mb);
   w.Key("hits");
   w.Value(cache.hits());
   w.Key("misses");
   w.Value(cache.misses());
-  w.Key("evictions");
-  w.Value(cache.evictions());
   w.EndObject();
   w.Key("sections");
   w.BeginArray();

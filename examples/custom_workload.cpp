@@ -71,8 +71,10 @@ int main() {
     return 1;
   }
   Trace loaded;
-  if (!Trace::LoadFrom(path, &loaded)) {
-    std::fprintf(stderr, "failed to reload trace\n");
+  const TraceLoadError load = Trace::Load(path, &loaded);
+  if (load != TraceLoadError::kNone) {
+    std::fprintf(stderr, "failed to reload trace: %s\n",
+                 TraceLoadErrorName(load));
     return 1;
   }
   Trace::Summary s = loaded.Summarize();

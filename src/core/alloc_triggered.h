@@ -26,8 +26,6 @@ class AllocationRatePolicy : public RatePolicy {
                     const SimClock& clock) override;
   std::string name() const override;
 
-  uint64_t bytes_per_collection() const { return interval_; }
-
   void SaveState(SnapshotWriter& w) const override { w.U64(next_threshold_); }
   void RestoreState(SnapshotReader& r) override { next_threshold_ = r.U64(); }
 

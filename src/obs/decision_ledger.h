@@ -95,8 +95,6 @@ struct PolicyDecisionRecord {
 // through checkpoints for byte-identical crash/resume exports.
 class DecisionLedger {
  public:
-  static constexpr size_t kDefaultCapacity = 1 << 16;
-
   explicit DecisionLedger(size_t capacity) : ring_(capacity) {}
 
   // Stage the context half of the next record. Decision fields in `ctx`

@@ -74,7 +74,6 @@ void ProgressReporter::PrintLine(const ProgressSample& sample,
                static_cast<unsigned long long>(sample.collections), gc_pct,
                err, heal);
   std::fflush(out_);
-  ++lines_;
   last_events_ = sample.events;
 }
 
@@ -104,11 +103,6 @@ void SweepProgress::OnRunDone() {
                    : 100.0,
                elapsed);
   std::fflush(out_);
-}
-
-uint64_t SweepProgress::done() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return done_;
 }
 
 }  // namespace odbgc::obs

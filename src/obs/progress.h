@@ -47,8 +47,6 @@ class ProgressReporter {
   // Prints the closing line (always, regardless of the interval).
   void Finish(const ProgressSample& sample);
 
-  uint64_t lines_printed() const { return lines_; }
-
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -59,7 +57,6 @@ class ProgressReporter {
   Clock::time_point start_;
   Clock::time_point last_report_;
   uint64_t last_events_ = 0;
-  uint64_t lines_ = 0;
 };
 
 // Live progress for a sweep: "done/total runs" lines as workers finish.
@@ -76,8 +73,6 @@ class SweepProgress {
   // Called by a worker when one run completes.
   void OnRunDone();
 
-  uint64_t done() const;
-
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -86,7 +81,7 @@ class SweepProgress {
   std::chrono::nanoseconds interval_;
   Clock::time_point start_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   uint64_t done_ = 0;
   Clock::time_point last_report_;
 };

@@ -10,11 +10,16 @@ Telemetry::Telemetry(const TelemetryOptions& options) : options_(options) {
     page_events_ = options_.page_events;
   }
   if (options_.record_decisions) {
-    ledger_ = std::make_unique<DecisionLedger>(options_.decision_capacity);
+    // The ring keeps the newest 2^16 decisions and counts what it sheds,
+    // so a long run degrades to a suffix rather than failing.
+    constexpr size_t kDecisionCapacity = 1 << 16;
+    ledger_ = std::make_unique<DecisionLedger>(kDecisionCapacity);
   }
   if (options_.sample_interval_events != 0) {
+    // Likewise the newest 2^13 time-series frames.
+    constexpr size_t kSampleCapacity = 1 << 13;
     sampler_ = std::make_unique<TimeSeriesSampler>(
-        options_.sample_interval_events, options_.sample_capacity);
+        options_.sample_interval_events, kSampleCapacity);
   }
 }
 

@@ -57,11 +57,9 @@ struct TelemetryOptions {
   // (--decisions-out). Implies metric collection stays meaningful even
   // when `enabled` is false, so any() treats it as an enable.
   bool record_decisions = false;
-  size_t decision_capacity = DecisionLedger::kDefaultCapacity;
   // Snapshot the metrics registry every N applied trace events into
   // time-series frames (--timeseries-out). 0 disables sampling.
   uint64_t sample_interval_events = 0;
-  size_t sample_capacity = TimeSeriesSampler::kDefaultCapacity;
 
   bool any() const {
     return enabled || capture_trace || record_decisions ||

@@ -31,7 +31,6 @@ struct TimeSeriesFrame {
 // a bounded ring (newest `capacity` frames kept; shed frames counted).
 class TimeSeriesSampler {
  public:
-  static constexpr size_t kDefaultCapacity = 1 << 13;
   static constexpr uint64_t kDefaultIntervalEvents = 1024;
 
   TimeSeriesSampler(uint64_t interval_events, size_t capacity);

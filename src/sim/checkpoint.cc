@@ -135,7 +135,9 @@ void Simulation::SaveState(SnapshotWriter& w) const {
   w.Bool(governor_ != nullptr);
   if (governor_ != nullptr) {
     governor_->SaveState(w);
-    w.Bool(safe_mode_);
+    // Redundant with the governor's own flag; kept for the layout and
+    // checked on restore.
+    w.Bool(governor_->safe_mode());
     w.Bool(safe_policy_ != nullptr);
     if (safe_policy_ != nullptr) safe_policy_->SaveState(w);
   }
@@ -167,7 +169,10 @@ void Simulation::RestoreState(SnapshotReader& r) {
   }
   if (has_governor) {
     governor_->RestoreState(r);
-    safe_mode_ = r.Bool();
+    if (r.Bool() != governor_->safe_mode()) {
+      r.MarkMalformed("safe-mode flag disagrees with the governor");
+      return;
+    }
     if (r.Bool()) SafePolicy().RestoreState(r);
   }
   // Telemetry sub-blob. Empty means the checkpointed run had telemetry

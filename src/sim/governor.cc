@@ -4,15 +4,6 @@
 
 namespace odbgc {
 
-const char* PressureLevelName(PressureLevel level) {
-  switch (level) {
-    case PressureLevel::kNormal: return "normal";
-    case PressureLevel::kYellow: return "yellow";
-    case PressureLevel::kRed: return "red";
-  }
-  return "unknown";
-}
-
 PressureGovernor::PressureGovernor(const GovernorConfig& config)
     : config_(config) {
   ODBGC_CHECK_MSG(config_.yellow_frac > 0.0 &&

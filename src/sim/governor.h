@@ -68,8 +68,6 @@ struct GovernorConfig {
 
 enum class PressureLevel : uint8_t { kNormal = 0, kYellow = 1, kRed = 2 };
 
-const char* PressureLevelName(PressureLevel level);
-
 template <>
 struct EnumTraits<PressureLevel> {
   static constexpr PressureLevel kLast = PressureLevel::kRed;

@@ -10,6 +10,13 @@
 
 namespace odbgc {
 
+namespace {
+// The per-shard clamp range the budget coordinator may grant any single
+// tenant, and the budget an open circuit breaker pins a sick shard to.
+constexpr double kMinShardFrac = 0.02;
+constexpr double kMaxShardFrac = 0.40;
+}  // namespace
+
 uint64_t MultiTenantReport::FleetChecksum() const {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
@@ -84,9 +91,10 @@ void MultiTenantEngine::CreateCatalog() {
   // permanent "directory pin" here plus one refcount per live remote
   // reference. They carry no kGarbageMark and are never unpinned, so
   // they can never perturb a shard's garbage ground truth.
+  constexpr uint32_t kCatalogObjectBytes = 512;
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
     for (uint32_t k = 1; k <= options_.catalog_per_shard; ++k) {
-      sims_[s]->Apply(CreateEvent(k, options_.catalog_object_bytes, 0));
+      sims_[s]->Apply(CreateEvent(k, kCatalogObjectBytes, 0));
       sims_[s]->store().AddExternalPin(k);
     }
   }
@@ -255,9 +263,11 @@ void MultiTenantEngine::EndEpoch() {
 }
 
 double MultiTenantEngine::BreakerClamp(size_t s, double budget) {
-  // Unhealthy = red-watermark pressure or a quarantine-heavy store. Open
-  // the breaker on the first unhealthy tick; close it only after
-  // breaker_close_ticks consecutive healthy ones.
+  // Unhealthy = red-watermark pressure or a store with at least half its
+  // partitions quarantined. Open the breaker on the first unhealthy tick;
+  // close it only after two consecutive healthy ones.
+  constexpr double kQuarantineFracToOpen = 0.5;
+  constexpr uint32_t kHealthyTicksToClose = 2;
   const ObjectStore& store = sims_[s]->store();
   const size_t parts = store.partition_count();
   const double qfrac =
@@ -266,26 +276,25 @@ double MultiTenantEngine::BreakerClamp(size_t s, double budget) {
                 : 0.0;
   const bool unhealthy =
       sims_[s]->pressure_level() == PressureLevel::kRed ||
-      qfrac >= options_.breaker_quarantine_frac;
+      qfrac >= kQuarantineFracToOpen;
   if (breaker_open_[s] == 0) {
     if (unhealthy) {
       breaker_open_[s] = 1;
       breaker_clean_[s] = 0;
       ++report_.breaker_opens;
       LedgerShardEvent(s, events_routed_, "breaker",
-                       obs::DecisionReason::kBreakerOpen,
-                       options_.min_shard_frac);
+                       obs::DecisionReason::kBreakerOpen, kMinShardFrac);
     }
   } else if (unhealthy) {
     breaker_clean_[s] = 0;
-  } else if (++breaker_clean_[s] >= options_.breaker_close_ticks) {
+  } else if (++breaker_clean_[s] >= kHealthyTicksToClose) {
     breaker_open_[s] = 0;
     breaker_clean_[s] = 0;
     ++report_.breaker_closes;
     LedgerShardEvent(s, events_routed_, "breaker",
                      obs::DecisionReason::kBreakerClose, budget);
   }
-  return breaker_open_[s] != 0 ? options_.min_shard_frac : budget;
+  return breaker_open_[s] != 0 ? kMinShardFrac : budget;
 }
 
 void MultiTenantEngine::StageShardContext(size_t s, uint64_t event) {
@@ -324,7 +333,7 @@ void MultiTenantEngine::CoordinatorTick() {
   const size_t n = sims_.size();
   // Redistribute the fleet budget by observed garbage share: tenants
   // sitting on more uncollected garbage earn a larger io fraction, each
-  // grant clamped to [min_shard_frac, max_shard_frac].
+  // grant clamped to [kMinShardFrac, kMaxShardFrac].
   std::vector<uint64_t> garbage(n, 0);
   uint64_t total_garbage = 0;
   for (size_t s = 0; s < n; ++s) {
@@ -339,8 +348,7 @@ void MultiTenantEngine::CoordinatorTick() {
             : 1.0 / static_cast<double>(n);
     double budget = options_.global_io_frac *
                     static_cast<double>(n) * weight;
-    budget = std::min(std::max(budget, options_.min_shard_frac),
-                      options_.max_shard_frac);
+    budget = std::min(std::max(budget, kMinShardFrac), kMaxShardFrac);
     if (options_.breaker) {
       budget = BreakerClamp(s, budget);
     }

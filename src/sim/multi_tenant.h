@@ -42,7 +42,6 @@ struct MultiTenantOptions {
   // Shared catalog: immortal directory objects per shard that remote
   // tenants may reference. 0 disables all cross-shard machinery.
   uint32_t catalog_per_shard = 4;
-  uint32_t catalog_object_bytes = 512;
   // Probability that a null-target pointer write is redirected at a
   // random catalog object (the cross-shard reference generator). Only
   // null-target writes are rewritten: the old-target detach is a no-op
@@ -55,11 +54,9 @@ struct MultiTenantOptions {
   // Budget coordinator cadence in epochs; 0 disables it.
   uint32_t coordinator_period = 8;
   // Fleet-wide GC I/O budget: the mean per-shard io fraction the
-  // coordinator redistributes, and the per-shard clamp range it may
-  // grant any single tenant.
+  // coordinator redistributes (each grant clamped per shard, see
+  // CoordinatorTick).
   double global_io_frac = 0.10;
-  double min_shard_frac = 0.02;
-  double max_shard_frac = 0.40;
   // Overload protection across the fleet (both default-off; the
   // backpressure gate reads shard pressure, so it needs
   // shard_config.governor.enabled to ever fire).
@@ -73,16 +70,14 @@ struct MultiTenantOptions {
   bool backpressure = false;
   uint32_t admission_defer_limit = 4;
   // Circuit breaker: a red-watermark or quarantine-heavy shard has its
-  // GC I/O budget pinned to min_shard_frac until it has been healthy for
-  // breaker_close_ticks consecutive coordinator ticks. The point is
+  // GC I/O budget pinned to the per-shard floor until it has been healthy
+  // for two consecutive coordinator ticks (BreakerClamp). The point is
   // fleet isolation, not space recovery — a sick shard's garbage share
   // would otherwise earn it an ever-larger slice of the global budget
   // while its collections abort against quarantined partitions; the
   // shard's own governor still runs emergency collections outside the
   // policy budget, so clamping never blocks the space path.
   bool breaker = false;
-  double breaker_quarantine_frac = 0.5;  // quarantined/partitions to open
-  uint32_t breaker_close_ticks = 2;
   // Template for every shard's Simulation; per-shard seeds are derived
   // from `seed` via ApplyRunSeeds so shard selectors decorrelate.
   SimConfig shard_config;
@@ -226,7 +221,7 @@ class MultiTenantEngine {
   void EndEpoch();
   void CoordinatorTick();
   // Circuit-breaker state machine for shard `s`; returns the budget the
-  // coordinator may grant (min_shard_frac while the breaker is open).
+  // coordinator may grant (the per-shard floor while the breaker is open).
   double BreakerClamp(size_t s, double budget);
   // Stages shard s's clock and store figures as the ledger context of the
   // next record; `event` is the fleet stream position of the decision.

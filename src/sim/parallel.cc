@@ -29,7 +29,6 @@ std::shared_ptr<const Trace> TraceCache::GetOo7(const Oo7Params& params,
     if (it != slots_.end()) {
       ++hits_;
       slot = it->second;
-      slot->last_use = ++use_clock_;
       slot_ready_.wait(lock, [&slot] { return slot->ready; });
       if (slot->failed) {
         throw std::runtime_error("TraceCache: generation failed for key");
@@ -38,7 +37,6 @@ std::shared_ptr<const Trace> TraceCache::GetOo7(const Oo7Params& params,
     }
     ++misses_;
     slot = std::make_shared<Slot>();
-    slot->last_use = ++use_clock_;
     slots_.emplace(key, slot);
   }
   // Generate outside the lock so distinct keys generate concurrently.
@@ -67,38 +65,10 @@ std::shared_ptr<const Trace> TraceCache::GetOo7(const Oo7Params& params,
   {
     std::lock_guard<std::mutex> lock(mu_);
     slot->trace = trace;
-    slot->bytes = trace->size() * sizeof(TraceEvent);
     slot->ready = true;
-    retained_bytes_ += slot->bytes;
-    EnforceBudgetLocked();
   }
   slot_ready_.notify_all();
   return trace;
-}
-
-void TraceCache::EnforceBudgetLocked() {
-  while (byte_budget_ > 0 && retained_bytes_ > byte_budget_) {
-    // O(entries) LRU scan; the cache holds at most a few dozen distinct
-    // (params, seed) keys, so a linked list would be overkill.
-    auto victim = slots_.end();
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (!it->second->ready || it->second->failed) continue;
-      if (victim == slots_.end() ||
-          it->second->last_use < victim->second->last_use) {
-        victim = it;
-      }
-    }
-    if (victim == slots_.end()) break;  // everything left is in flight
-    retained_bytes_ -= victim->second->bytes;
-    ++evictions_;
-    slots_.erase(victim);
-  }
-}
-
-void TraceCache::set_byte_budget(size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  byte_budget_ = bytes;
-  EnforceBudgetLocked();
 }
 
 uint64_t TraceCache::hits() const {
@@ -109,16 +79,6 @@ uint64_t TraceCache::hits() const {
 uint64_t TraceCache::misses() const {
   std::lock_guard<std::mutex> lock(mu_);
   return misses_;
-}
-
-uint64_t TraceCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
-}
-
-size_t TraceCache::retained_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retained_bytes_;
 }
 
 namespace {

@@ -42,13 +42,8 @@ namespace odbgc {
 // Thread-safe cache of generated OO7 application traces. The first
 // requester of a (params, seed) key generates the trace; concurrent
 // requesters of the same key block until it is ready. Entries are
-// immutable and shared — callers must not mutate the returned trace.
-//
-// An optional byte budget bounds the cache's retained footprint: when
-// the ready entries exceed it, the least-recently-requested ones are
-// evicted (and regenerated on the next request for their key). Eviction
-// only drops the cache's own reference — outstanding shared_ptrs keep
-// an evicted trace alive, so readers are never invalidated.
+// immutable, shared and kept for the cache's lifetime — callers must not
+// mutate the returned trace.
 class TraceCache {
  public:
   TraceCache() = default;
@@ -56,23 +51,12 @@ class TraceCache {
   TraceCache& operator=(const TraceCache&) = delete;
 
   // The full four-phase application for (params, seed), generated at
-  // most once per *residency* of the key: a hit returns the shared
-  // entry; a request for an evicted key regenerates it.
+  // most once: a hit returns the shared entry.
   std::shared_ptr<const Trace> GetOo7(const Oo7Params& params,
                                       uint64_t seed);
 
-  // Retained-bytes budget (sum of event-array bytes of ready entries);
-  // 0 (the default) retains everything forever. Shrinking the budget
-  // evicts immediately. In-flight generations are never blocked by the
-  // budget — a single over-budget trace is handed to its requesters and
-  // then dropped from the cache.
-  void set_byte_budget(size_t bytes);
-
   uint64_t hits() const;
   uint64_t misses() const;
-  uint64_t evictions() const;
-  // Event-array bytes currently retained by ready entries.
-  size_t retained_bytes() const;
 
   // Test hook: replaces the trace generator (GenerateOo7Trace). Lets
   // tests exercise the failed-generation retry path (a generator that
@@ -91,23 +75,13 @@ class TraceCache {
     std::shared_ptr<const Trace> trace;
     bool ready = false;
     bool failed = false;
-    size_t bytes = 0;         // event-array bytes once ready
-    uint64_t last_use = 0;    // LRU stamp (use_clock_ at last request)
   };
-
-  // Evicts least-recently-used ready slots until the budget is met.
-  // Caller holds mu_.
-  void EnforceBudgetLocked();
 
   mutable std::mutex mu_;
   std::condition_variable slot_ready_;
   std::map<Key, std::shared_ptr<Slot>> slots_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t use_clock_ = 0;
-  size_t byte_budget_ = 0;    // 0 = unbounded
-  size_t retained_bytes_ = 0;
   Generator generator_;  // test override; null = GenerateOo7Trace
 };
 

@@ -48,17 +48,12 @@ void ApplyRunSeeds(SimConfig* config, uint64_t seed) {
   }
 }
 
-SimResult RunOo7WithTrace(const SimConfig& config, const Trace& trace,
-                          uint64_t seed) {
-  SimConfig cfg = config;
-  ApplyRunSeeds(&cfg, seed);
-  return RunSimulation(cfg, trace);
-}
-
 SimResult RunOo7Once(const SimConfig& config, const Oo7Params& params,
                      uint64_t seed) {
   std::shared_ptr<const Trace> trace = GenerateOo7Trace(params, seed);
-  return RunOo7WithTrace(config, *trace, seed);
+  SimConfig cfg = config;
+  ApplyRunSeeds(&cfg, seed);
+  return RunSimulation(cfg, *trace);
 }
 
 AggregateResult RunOo7Many(const SimConfig& config, const Oo7Params& params,

@@ -47,12 +47,6 @@ std::shared_ptr<const Trace> GenerateOo7Trace(const Oo7Params& params,
 SimResult RunOo7Once(const SimConfig& config, const Oo7Params& params,
                      uint64_t seed);
 
-// Replays a pre-generated (typically cached) OO7 trace under `config`.
-// `seed` must be the trace's generation seed: the selector seed is
-// derived from it exactly as RunOo7Once does.
-SimResult RunOo7WithTrace(const SimConfig& config, const Trace& trace,
-                          uint64_t seed);
-
 // Runs `num_runs` seeds (base_seed, base_seed+1, ...) and aggregates.
 // With threads != 1 the runs fan out across a thread pool (one trace
 // generation per seed); results are byte-identical to the serial path

@@ -770,9 +770,9 @@ void Simulation::GovernorTick() {
     governor_->OnForcedCollection(clock_.pointer_overwrites);
     governor_->ObserveUtilization(store_->utilization());
   }
-  if (!safe_mode_ && governor_->ShouldEnterSafeMode()) {
+  if (governor_->ShouldEnterSafeMode()) {
     EnterSafeMode();
-  } else if (safe_mode_ && governor_->ShouldExitSafeMode()) {
+  } else if (governor_->ShouldExitSafeMode()) {
     ExitSafeMode();
   }
 }
@@ -815,7 +815,6 @@ RatePolicy& Simulation::SafePolicy() {
 }
 
 void Simulation::EnterSafeMode() {
-  safe_mode_ = true;
   ++result_.safe_mode_entries;
   governor_->EnterSafeMode();
   // FixedRatePolicy's threshold semantics make the first safe-mode
@@ -827,7 +826,6 @@ void Simulation::EnterSafeMode() {
 }
 
 void Simulation::ExitSafeMode() {
-  safe_mode_ = false;
   ++result_.safe_mode_exits;
   governor_->ExitSafeMode();
   LedgerGovernorRecord(obs::DecisionReason::kSafeModeExit,

@@ -174,7 +174,8 @@ class Simulation {
   // The policy currently steering collections: the configured one, or
   // the conservative fixed-rate fallback while safe mode holds.
   RatePolicy* ActivePolicy() {
-    return safe_mode_ ? safe_policy_.get() : policy_.get();
+    return governor_ != nullptr && governor_->safe_mode() ? safe_policy_.get()
+                                                          : policy_.get();
   }
   // Stages ledger context and appends a governor-originated record.
   void LedgerGovernorRecord(obs::DecisionReason reason,
@@ -266,7 +267,6 @@ class Simulation {
   std::unique_ptr<PressureGovernor> governor_;
   std::unique_ptr<RatePolicy> safe_policy_;
   std::unique_ptr<PartitionSelector> emergency_selector_;
-  bool safe_mode_ = false;
 
   SimClock clock_;
   SimResult result_;

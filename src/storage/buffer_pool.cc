@@ -160,26 +160,12 @@ void BufferPool::ReleaseFrame(int32_t f) {
   --resident_;
 }
 
-void BufferPool::Pin(PageId page) {
-  const int32_t f = Lookup(page);
-  ODBGC_CHECK_MSG(f != kNoFrame, "Pin of a non-resident page");
-  if (frames_[f].pins++ == 0) ++pinned_pages_;
-}
-
-void BufferPool::Unpin(PageId page) {
-  const int32_t f = Lookup(page);
-  ODBGC_CHECK_MSG(f != kNoFrame, "Unpin of a non-resident page");
-  ODBGC_CHECK_MSG(frames_[f].pins > 0, "Unpin without a matching Pin");
-  if (--frames_[f].pins == 0) --pinned_pages_;
-}
-
 void BufferPool::DropPartitionTail(PartitionId partition,
                                    uint32_t first_dropped) {
   for (int32_t f = lru_head_; f != kNoFrame;) {
     const int32_t next = frames_[f].next;
     if (frames_[f].page.partition == partition &&
         frames_[f].page.page_index >= first_dropped) {
-      ODBGC_CHECK_MSG(frames_[f].pins == 0, "dropping a pinned page");
       ReleaseFrame(f);
     }
     f = next;
@@ -189,18 +175,9 @@ void BufferPool::DropPartitionTail(PartitionId partition,
   if (fault_ != nullptr) fault_->ForgetTail(partition, first_dropped);
 }
 
-void BufferPool::FlushAll(IoContext ctx) {
+void BufferPool::FlushPartition(PartitionId partition, IoContext ctx) {
   // MRU -> LRU order (matters: the disk model's sequential/random
   // classification depends on transfer order).
-  for (int32_t f = lru_head_; f != kNoFrame; f = frames_[f].next) {
-    if (frames_[f].dirty) {
-      CountWrite(frames_[f].page, ctx);
-      frames_[f].dirty = false;
-    }
-  }
-}
-
-void BufferPool::FlushPartition(PartitionId partition, IoContext ctx) {
   for (int32_t f = lru_head_; f != kNoFrame; f = frames_[f].next) {
     if (frames_[f].dirty && frames_[f].page.partition == partition) {
       CountWrite(frames_[f].page, ctx);
@@ -210,8 +187,6 @@ void BufferPool::FlushPartition(PartitionId partition, IoContext ctx) {
 }
 
 void BufferPool::SaveState(SnapshotWriter& w) const {
-  ODBGC_CHECK_MSG(pinned_pages_ == 0,
-                  "checkpoint with pinned buffer pages");
   // Resident pages, MRU -> LRU.
   w.U64(resident_);
   for (int32_t f = lru_head_; f != kNoFrame; f = frames_[f].next) {
@@ -221,13 +196,12 @@ void BufferPool::SaveState(SnapshotWriter& w) const {
   Checkpoint(w, *this);
 }
 
-void BufferPool::RestoreState(SnapshotReader& r) {
+void BufferPool::RestoreState(SnapshotReader& r, uint32_t partition_count) {
   // Drop whatever the fresh pool holds, then rebuild the LRU list by
   // inserting the saved pages LRU-first: after the loop the head/tail
   // order matches the checkpointed pool exactly.
   ResetFreeList();
   std::fill(table_.begin(), table_.end(), kNoFrame);
-  pinned_pages_ = 0;
   const uint64_t n = r.U64();
   if (!r.ok()) return;
   if (n > frame_count_) {
@@ -240,12 +214,25 @@ void BufferPool::RestoreState(SnapshotReader& r) {
     saved[i].dirty = r.Bool();
   }
   if (!r.ok()) return;
+  // The table is sized from these ids, so each must index inside it: a
+  // partition the store restored and a page inside a partition (this
+  // also excludes kMetaPageIndex, which would wrap the row width).
+  for (const Frame& f : saved) {
+    if (f.page.partition >= partition_count ||
+        f.page.page_index >= pages_hint_) {
+      r.MarkMalformed("buffer pool resident page outside the store");
+      return;
+    }
+  }
   for (size_t i = saved.size(); i-- > 0;) {
+    if (Lookup(saved[i].page) != kNoFrame) {
+      r.MarkMalformed("buffer pool resident page listed twice");
+      return;
+    }
     const int32_t fresh = free_head_;
     free_head_ = frames_[fresh].next;
     frames_[fresh].page = saved[i].page;
     frames_[fresh].dirty = saved[i].dirty;
-    frames_[fresh].pins = 0;
     PushFront(fresh);
     SetSlot(saved[i].page, fresh);
     ++resident_;
@@ -258,10 +245,8 @@ size_t BufferPool::DiscardAll() {
   for (int32_t f = lru_head_; f != kNoFrame; f = frames_[f].next) {
     if (frames_[f].dirty) ++dirty;
     ClearSlot(frames_[f].page);
-    frames_[f].pins = 0;
   }
   ResetFreeList();
-  pinned_pages_ = 0;
   return dirty;
 }
 

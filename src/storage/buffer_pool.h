@@ -47,8 +47,9 @@ struct CorruptionEvent {
 class BufferPool {
  public:
   // `pages_per_partition_hint`, if non-zero, pre-sizes each page-table
-  // row so steady-state lookups never grow a row. Purely a capacity hint;
-  // pages beyond it still work.
+  // row so steady-state lookups never grow a row. Access treats it as a
+  // capacity hint (pages beyond it still work); RestoreState treats it as
+  // the bound on a restored page index.
   explicit BufferPool(uint32_t frame_count,
                       uint32_t pages_per_partition_hint = 0);
 
@@ -57,7 +58,6 @@ class BufferPool {
 
   // Touches a page. A miss costs one read I/O (plus one write I/O if a
   // dirty page must be evicted). `dirty` marks the page as modified.
-  // Pinned pages are never chosen as eviction victims.
   //
   // The hit path is inline — it is the single hottest operation in the
   // simulator (every object touch and every remembered-set rewrite lands
@@ -81,32 +81,19 @@ class BufferPool {
     AccessMiss(page, dirty, ctx);
   }
 
-  // Pin / unpin a resident page. Pins nest; a pinned frame survives
-  // eviction pressure (it is skipped when hunting for a victim) and may
-  // not be dropped by DropPartitionTail. The page must be resident (pin
-  // it in the same breath as the Access that faulted it in) and pin
-  // counts must balance — both are CHECKed.
-  void Pin(PageId page);
-  void Unpin(PageId page);
-  size_t pinned_pages() const { return pinned_pages_; }
-
   // Drops any cached pages of `partition` with page_index >= first_dropped
   // without writing them back. Used after a collection compacts a
   // partition: the discarded from-space tail must not be flushed later.
   void DropPartitionTail(PartitionId partition, uint32_t first_dropped);
-
-  // Writes back all dirty pages (end-of-run accounting), attributing the
-  // writes to `ctx`.
-  void FlushAll(IoContext ctx);
 
   // Writes back the dirty pages of one partition (they stay resident and
   // become clean). The collector's commit protocol uses this to make
   // to-space durable before the commit record is written.
   void FlushPartition(PartitionId partition, IoContext ctx);
 
-  // Simulates losing all volatile state at a crash: every frame (pinned
-  // or not) is dropped with no write-back. Returns the number of dirty
-  // pages whose contents were lost.
+  // Simulates losing all volatile state at a crash: every frame is
+  // dropped with no write-back. Returns the number of dirty pages whose
+  // contents were lost.
   size_t DiscardAll();
 
   // One uncached, durable page write / read (the collector's commit
@@ -156,7 +143,6 @@ class BufferPool {
   void SetScrubbing(bool scrubbing) { scrubbing_ = scrubbing; }
 
   const IoStats& stats() const { return stats_; }
-  uint32_t frame_count() const { return frame_count_; }
   size_t resident_pages() const { return resident_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
@@ -164,17 +150,19 @@ class BufferPool {
   // Checkpoint hooks. Residency is serialized in LRU order (head first)
   // and rebuilt exactly, so post-restore hit/miss/eviction sequences —
   // and therefore all downstream I/O accounting — are byte-identical to
-  // a run that never checkpointed. Pin counts must be zero (checkpoints
-  // are taken between events, never inside a collection); CHECKed.
+  // a run that never checkpointed. A restored page must lie in one of
+  // the store's `partition_count` partitions, below the pool's pages per
+  // partition (a pool built without that hint restores no pages), and
+  // appear once; anything else marks the snapshot malformed before the
+  // page table is sized from it.
   void SaveState(SnapshotWriter& w) const;
-  void RestoreState(SnapshotReader& r);
+  void RestoreState(SnapshotReader& r, uint32_t partition_count);
 
  private:
   static constexpr int32_t kNoFrame = -1;
 
   struct Frame {
     PageId page{0, 0};
-    uint32_t pins = 0;
     bool dirty = false;
     // Intrusive LRU links (frame indices). A free frame reuses `next` as
     // its free-list link.
@@ -191,16 +179,11 @@ class BufferPool {
     CountRead(page, ctx);
     int32_t fresh;
     if (resident_ >= frame_count_) {
-      // Evict the least recently used unpinned frame and reuse it in
-      // place: clear its table slot and splice it straight to the LRU
-      // head — no free-list round trip through ReleaseFrame (a full pool
-      // stays full, and miss-heavy workloads evict on every miss).
-      int32_t victim = lru_tail_;
-      while (victim != kNoFrame && frames_[victim].pins != 0) {
-        victim = frames_[victim].prev;
-      }
-      ODBGC_CHECK_MSG(victim != kNoFrame,
-                      "every buffer frame is pinned; cannot evict");
+      // Evict the least recently used frame and reuse it in place:
+      // clear its table slot and splice it straight to the LRU head — no
+      // free-list round trip through ReleaseFrame (a full pool stays
+      // full, and miss-heavy workloads evict on every miss).
+      const int32_t victim = lru_tail_;
       if (frames_[victim].dirty) CountWrite(frames_[victim].page, ctx);
       ODBGC_IF_TEL(tel_) { tel_evictions_->Increment(); }
       ClearSlot(frames_[victim].page);
@@ -217,7 +200,6 @@ class BufferPool {
     }
     frames_[fresh].page = page;
     frames_[fresh].dirty = dirty;
-    frames_[fresh].pins = 0;
     SetSlot(page, fresh);
   }
 
@@ -325,7 +307,6 @@ class BufferPool {
   IoStats stats_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  size_t pinned_pages_ = 0;
   bool scrubbing_ = false;
   std::vector<CorruptionEvent> pending_corruption_;
 };

@@ -48,11 +48,6 @@ class DiskModel {
   uint64_t sequential_transfers() const { return sequential_; }
   uint64_t random_transfers() const { return random_; }
 
-  double transfer_ms_per_page() const { return transfer_ms_; }
-  double positioning_ms() const {
-    return params_.seek_ms + params_.rotational_ms;
-  }
-
   // Checkpoint hooks: head position and accumulated times (params are
   // configuration).
   void SaveState(SnapshotWriter& w) const { Checkpoint(w, *this); }

@@ -110,13 +110,6 @@ FaultOutcome FaultInjector::OnWrite(PageId page) {
   return o;
 }
 
-void FaultInjector::HealPage(PageId page) {
-  torn_.erase(page);
-  corrupt_.erase(page);
-  decaying_.erase(page);
-  dead_pages_.erase(page);
-}
-
 void FaultInjector::HealPartition(PartitionId p) {
   for (auto it = torn_.begin(); it != torn_.end();) {
     it = it->partition == p ? torn_.erase(it) : std::next(it);

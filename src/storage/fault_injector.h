@@ -65,8 +65,7 @@ struct EnumTraits<CrashPoint> {
      the page's physical location for good (every later transfer fails    \
      without retry), and — given a dead page — the conditional            \
      probability that the whole partition's device dies with it. Dead     \
-     locations stay dead until repair remaps them (HealPage /             \
-     HealPartition). */                                                   \
+     locations stay dead until repair remaps them (HealPartition). */     \
   X(double, dead_page_prob, 0.0)                                          \
   X(double, dead_partition_prob, 0.0)                                     \
   X(uint32_t, max_retries, 3)                                             \
@@ -163,10 +162,9 @@ class FaultInjector {
     return dead_partitions_.count(p) != 0;
   }
 
-  // Repair hooks: clear all health state for one page / every page of a
-  // partition (models rewriting from the primary copy plus remapping dead
-  // locations to spare sectors or a replacement device).
-  void HealPage(PageId page);
+  // Repair hook: clears all health state for every page of a partition
+  // (models rewriting from the primary copy plus remapping dead locations
+  // to spare sectors or a replacement device).
   void HealPartition(PartitionId p);
   // Pages at index >= first_page of `p` were physically discarded (the
   // partition shrank); their content no longer exists, so pending tears,

@@ -180,16 +180,6 @@ void ObjectStore::UpdateObject(ObjectId id) {
              IoContext::kApplication);
 }
 
-void ObjectStore::AttachInRef(ObjectId src, uint32_t slot, ObjectId target) {
-  ObjectRecord& s = objects_[src];
-  ObjectRecord& t = objects_[target];
-  InRefList& tin = in_refs_[target];
-  const uint32_t pos = s.slot_begin + slot;
-  slot_arena_[pos].backref = static_cast<uint32_t>(tin.size());
-  tin.push_back(InRef{src, pos});
-  if (s.partition != t.partition) ++t.xpart_in_refs;
-}
-
 void ObjectStore::DetachInRef(ObjectId src, uint32_t slot, ObjectId target) {
   ObjectRecord& s = objects_[src];
   ObjectRecord& t = objects_[target];
@@ -497,7 +487,7 @@ void ObjectStore::RestoreState(SnapshotReader& r) {
   }
 
   r.Tag("POOL");
-  pool_->RestoreState(r);
+  pool_->RestoreState(r, static_cast<uint32_t>(partitions_.size()));
   if (r.Bool()) {
     if (disk_ == nullptr) {
       r.MarkMalformed("snapshot has disk-model state but timing is off");

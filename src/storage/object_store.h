@@ -177,9 +177,9 @@ class ObjectStore {
     TouchRange(s.partition, s.offset, s.size, /*dirty=*/true,
                IoContext::kApplication);
 
-    // Fused detach + attach (the bodies of DetachInRef / AttachInRef with
-    // the source-side work shared): one load of the source header and one
-    // slot position. The standalone helpers remain for the other callers.
+    // Fused detach + attach (DetachInRef's body plus the attach, with the
+    // source-side work shared): one load of the source header and one
+    // slot position. DetachInRef remains for DestroyObject.
     PartitionId overwritten_partition = kInvalidPartition;
     if (old_target != kNullObject) {
       // Unchecked: a non-null slot target always exists (DestroyObject
@@ -394,7 +394,7 @@ class ObjectStore {
   // cross-partition in-ref counters, and the free-space index. In-ref
   // lists come out in canonical (source id, slot) order — equivalent
   // under the verifier's multiset semantics, deterministic at any thread
-  // count. Used by RepairHeap.
+  // count. Partition repair calls it once per self-healing tick.
   void RebuildDerivedState();
 
   // --- Collector support ---
@@ -482,10 +482,9 @@ class ObjectStore {
   Partition& PartitionFor(uint32_t size, ObjectId near_hint);
   uint64_t SumQuarantinedUsedBytes() const;
 
-  // O(1) reverse-index maintenance: links/unlinks the (src, slot) ->
-  // target edge, keeping back-pointers and the cross-partition counters
-  // in sync. DetachInRef patches the swap-erased entry's back-pointer.
-  void AttachInRef(ObjectId src, uint32_t slot, ObjectId target);
+  // O(1) reverse-index maintenance: unlinks the (src, slot) -> target
+  // edge, keeping back-pointers and the cross-partition counters in sync,
+  // and patches the swap-erased entry's back-pointer.
   void DetachInRef(ObjectId src, uint32_t slot, ObjectId target);
 
   // The counter block that ends the store's checkpoint, in checkpoint

@@ -13,13 +13,12 @@ namespace {
 // Collects violations with a cap on the rendered strings.
 class ViolationSink {
  public:
-  ViolationSink(VerifierReport* report, size_t max) : report_(report),
-                                                      max_(max) {}
+  explicit ViolationSink(VerifierReport* report) : report_(report) {}
 
   __attribute__((format(printf, 2, 3)))
   void Add(const char* fmt, ...) {
     ++report_->violation_count;
-    if (report_->violations.size() >= max_) return;
+    if (report_->violations.size() >= kMaxRendered) return;
     char buf[256];
     va_list args;
     va_start(args, fmt);
@@ -29,8 +28,11 @@ class ViolationSink {
   }
 
  private:
+  // A handful of rendered violations is enough to start debugging from;
+  // a badly desynced heap would otherwise render one string per object.
+  static constexpr size_t kMaxRendered = 16;
+
   VerifierReport* report_;
-  size_t max_;
 };
 
 }  // namespace
@@ -48,7 +50,7 @@ std::string VerifierReport::Summary() const {
 VerifierReport VerifyHeap(const ObjectStore& store,
                           const VerifierOptions& options) {
   VerifierReport report;
-  ViolationSink sink(&report, options.max_violations);
+  ViolationSink sink(&report);
 
   // 1 & 2. Partition layout + object/partition agreement. Membership
   // counts double as the "appears exactly once" check below.
@@ -225,10 +227,9 @@ VerifierReport VerifyHeap(const ObjectStore& store,
   return report;
 }
 
-VerifierReport VerifyPartition(const ObjectStore& store, PartitionId pid,
-                               const VerifierOptions& options) {
+VerifierReport VerifyPartition(const ObjectStore& store, PartitionId pid) {
   VerifierReport report;
-  ViolationSink sink(&report, options.max_violations);
+  ViolationSink sink(&report);
   if (pid >= store.partition_count()) {
     sink.Add("partition %u does not exist (%zu partitions)", pid,
              store.partition_count());
@@ -309,18 +310,6 @@ VerifierReport VerifyPartition(const ObjectStore& store, PartitionId pid,
     sink.Add("partition %u free-space index %u != free bytes %u", pid,
              store.indexed_free_bytes(pid), part.free_bytes());
   }
-  return report;
-}
-
-RepairReport RepairHeap(ObjectStore& store) {
-  RepairReport report;
-  store.RebuildDerivedState();
-  for (ObjectId id = 1; id <= store.max_object_id(); ++id) {
-    if (!store.Exists(id)) continue;
-    ++report.objects_rebuilt;
-    report.in_refs_rebuilt += store.in_refs(id).size();
-  }
-  report.partitions_reindexed = store.partition_count();
   return report;
 }
 

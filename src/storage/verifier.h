@@ -15,9 +15,6 @@ namespace odbgc {
 // replays), so bare fixtures can switch it off.
 struct VerifierOptions {
   bool check_reachability_agreement = true;
-  // At most this many violations are rendered as strings; the total
-  // count is always exact.
-  size_t max_violations = 16;
 };
 
 // Outcome of one verification pass.
@@ -26,7 +23,8 @@ struct VerifierReport {
   uint64_t slots_checked = 0;
   uint64_t partitions_checked = 0;
   uint64_t violation_count = 0;
-  std::vector<std::string> violations;  // first max_violations, rendered
+  // The first few violations, rendered; violation_count is always exact.
+  std::vector<std::string> violations;
 
   bool ok() const { return violation_count == 0; }
   // One-line human summary ("clean" or the first violations).
@@ -67,24 +65,7 @@ VerifierReport VerifyHeap(const ObjectStore& store,
 // store-global checks (full remembered-set multiset, roots, reachability
 // agreement) stay with VerifyHeap — they cannot be attributed to one
 // partition.
-VerifierReport VerifyPartition(const ObjectStore& store, PartitionId pid,
-                               const VerifierOptions& options = {});
-
-// Outcome of one repair pass.
-struct RepairReport {
-  uint64_t objects_rebuilt = 0;   // existing objects whose edges were redone
-  uint64_t in_refs_rebuilt = 0;   // reverse-index entries reconstructed
-  uint64_t partitions_reindexed = 0;  // free-space index entries refreshed
-};
-
-// Derived-state repair: reconstructs the reverse index (in-ref lists +
-// slot back-references), the cross-partition in-ref counters, and the
-// free-space index from the primary data (slot arena + partition lists +
-// headers). After RepairHeap, a VerifyHeap pass with reachability
-// agreement off reports clean index state no matter how desynced the
-// derived structures were. Deterministic: the rebuilt state depends only
-// on the primary data, never on the corruption history.
-RepairReport RepairHeap(ObjectStore& store);
+VerifierReport VerifyPartition(const ObjectStore& store, PartitionId pid);
 
 }  // namespace odbgc
 

@@ -181,8 +181,4 @@ TraceLoadError Trace::Load(const std::string& path, Trace* out) {
   return TraceLoadError::kNone;
 }
 
-bool Trace::LoadFrom(const std::string& path, Trace* out) {
-  return Load(path, out) == TraceLoadError::kNone;
-}
-
 }  // namespace odbgc

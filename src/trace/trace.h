@@ -86,8 +86,6 @@ class Trace {
   // cannot index is rejected, and a malformed file leaves *out empty.
   // Returns kNone on success.
   static TraceLoadError Load(const std::string& path, Trace* out);
-  // Legacy boolean wrapper around Load().
-  static bool LoadFrom(const std::string& path, Trace* out);
 
  private:
   std::vector<TraceEvent> events_;

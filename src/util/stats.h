@@ -69,7 +69,6 @@ class ExponentialMean {
 
   bool has_value() const { return has_value_; }
   double value() const { return value_; }
-  double history_weight() const { return history_weight_; }
 
  private:
   double history_weight_;

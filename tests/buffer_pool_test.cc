@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "storage/buffer_pool.h"
 #include "util/snapshot.h"
 
@@ -93,19 +95,10 @@ TEST(BufferPoolTest, DropPartitionTailDiscardsWithoutWriteback) {
   pool.Access(P(4, 1), true, IoContext::kCollector);
   pool.DropPartitionTail(3, 1);
   EXPECT_EQ(pool.resident_pages(), 2u);  // (3,0) and (4,1) remain
-  pool.FlushAll(IoContext::kCollector);
+  pool.FlushPartition(3, IoContext::kCollector);
+  pool.FlushPartition(4, IoContext::kCollector);
   // Only the two surviving dirty pages get written.
   EXPECT_EQ(pool.stats().gc_writes, 2u);
-}
-
-TEST(BufferPoolTest, FlushAllWritesDirtyOnce) {
-  BufferPool pool(4);
-  pool.Access(P(0, 0), true, IoContext::kApplication);
-  pool.Access(P(0, 1), false, IoContext::kApplication);
-  pool.FlushAll(IoContext::kApplication);
-  EXPECT_EQ(pool.stats().app_writes, 1u);
-  pool.FlushAll(IoContext::kApplication);  // now clean: no-op
-  EXPECT_EQ(pool.stats().app_writes, 1u);
 }
 
 TEST(BufferPoolTest, NeverExceedsFrameCount) {
@@ -137,47 +130,6 @@ TEST(BufferPoolTest, DirtyEvictionWritesBackExactlyOnce) {
   EXPECT_EQ(pool.stats().app_reads, 4u);
 }
 
-TEST(BufferPoolTest, PinAccountingNestsAndBalances) {
-  BufferPool pool(4);
-  pool.Access(P(0, 0), false, IoContext::kApplication);
-  EXPECT_EQ(pool.pinned_pages(), 0u);
-  pool.Pin(P(0, 0));
-  pool.Pin(P(0, 0));  // pins nest
-  EXPECT_EQ(pool.pinned_pages(), 1u);
-  pool.Unpin(P(0, 0));
-  EXPECT_EQ(pool.pinned_pages(), 1u);  // still held once
-  pool.Unpin(P(0, 0));
-  EXPECT_EQ(pool.pinned_pages(), 0u);
-}
-
-TEST(BufferPoolTest, PinnedPageSurvivesEvictionPressure) {
-  BufferPool pool(2);
-  pool.Access(P(0, 0), /*dirty=*/true, IoContext::kApplication);
-  pool.Pin(P(0, 0));
-  pool.Access(P(0, 1), false, IoContext::kApplication);
-  // Page 0 is LRU but pinned: page 1 must be the victim instead.
-  pool.Access(P(0, 2), false, IoContext::kApplication);
-  pool.Access(P(0, 0), false, IoContext::kApplication);
-  EXPECT_EQ(pool.hits(), 1u);  // pinned page stayed resident
-  EXPECT_EQ(pool.stats().app_writes, 0u);  // and was never written back
-  pool.Unpin(P(0, 0));
-}
-
-TEST(BufferPoolTest, AllFramesPinnedAbortsEviction) {
-  BufferPool pool(1);
-  pool.Access(P(0, 0), false, IoContext::kApplication);
-  pool.Pin(P(0, 0));
-  EXPECT_DEATH(pool.Access(P(0, 1), false, IoContext::kApplication),
-               "every buffer frame is pinned");
-}
-
-TEST(BufferPoolTest, UnbalancedUnpinAborts) {
-  BufferPool pool(2);
-  pool.Access(P(0, 0), false, IoContext::kApplication);
-  EXPECT_DEATH(pool.Unpin(P(0, 0)), "without a matching Pin");
-  EXPECT_DEATH(pool.Pin(P(0, 1)), "non-resident");
-}
-
 TEST(BufferPoolTest, FlushPartitionWritesOnlyThatPartition) {
   BufferPool pool(4);
   pool.Access(P(0, 0), /*dirty=*/true, IoContext::kCollector);
@@ -188,7 +140,7 @@ TEST(BufferPoolTest, FlushPartitionWritesOnlyThatPartition) {
   EXPECT_EQ(pool.resident_pages(), 3u);   // flushed page stays resident
   pool.FlushPartition(0, IoContext::kCollector);  // now clean: no-op
   EXPECT_EQ(pool.stats().gc_writes, 1u);
-  pool.FlushAll(IoContext::kCollector);  // partition 1 still dirty
+  pool.FlushPartition(1, IoContext::kCollector);  // partition 1 still dirty
   EXPECT_EQ(pool.stats().gc_writes, 2u);
 }
 
@@ -197,11 +149,9 @@ TEST(BufferPoolTest, DiscardAllDropsEverythingWithoutWriteback) {
   pool.Access(P(0, 0), /*dirty=*/true, IoContext::kApplication);
   pool.Access(P(0, 1), /*dirty=*/true, IoContext::kApplication);
   pool.Access(P(0, 2), /*dirty=*/false, IoContext::kApplication);
-  pool.Pin(P(0, 0));  // even pinned frames die in a crash
   size_t lost = pool.DiscardAll();
   EXPECT_EQ(lost, 2u);  // the two dirty pages
   EXPECT_EQ(pool.resident_pages(), 0u);
-  EXPECT_EQ(pool.pinned_pages(), 0u);
   EXPECT_EQ(pool.stats().app_writes, 0u);  // nothing was flushed
   // The pool is fully usable afterwards.
   pool.Access(P(0, 0), false, IoContext::kApplication);
@@ -231,8 +181,40 @@ TEST(BufferPoolTest, RestoreRejectsMoreResidentPagesThanFrames) {
   }
   BufferPool pool(4);
   SnapshotReader r(w.data());
-  pool.RestoreState(r);
+  pool.RestoreState(r, 1);
   EXPECT_FALSE(r.ok());
+}
+
+// A restored page id sizes the page table, so the pool must reject one
+// it cannot hold before growing anything: the metadata page index (its
+// row width would wrap to 0), a partition id that wraps the row count,
+// a partition the store does not have (100,000,000 12-page rows would
+// ask for 4.8 GB), a page past the partition's last, and a page listed
+// twice (two frames for one page).
+TEST(BufferPoolTest, RestoreRejectsPageIdsTheTableCannotHold) {
+  auto restore = [](std::vector<PageId> pages) {
+    SnapshotWriter w;
+    w.U64(pages.size());
+    for (const PageId& page : pages) {
+      SaveField(w, page);
+      w.Bool(false);
+    }
+    SaveField(w, IoStats{});
+    w.U64(0);  // hits
+    w.U64(0);  // misses
+    w.U64(0);  // no undrained detections
+    BufferPool pool(4, /*pages_per_partition_hint=*/12);
+    SnapshotReader r(w.data());
+    pool.RestoreState(r, /*partition_count=*/3);
+    return r.AtEnd();
+  };
+  EXPECT_TRUE(restore({P(2, 11), P(0, 0)}));
+  EXPECT_FALSE(restore({P(0, kMetaPageIndex)}));
+  EXPECT_FALSE(restore({P(0xFFFFFFFFu, 0)}));
+  EXPECT_FALSE(restore({P(100000000, 0)}));
+  EXPECT_FALSE(restore({P(3, 0)}));
+  EXPECT_FALSE(restore({P(0, 12)}));
+  EXPECT_FALSE(restore({P(1, 5), P(0, 0), P(1, 5)}));
 }
 
 TEST(BufferPoolTest, RestoreRejectsUnknownCorruptionKind) {
@@ -248,7 +230,7 @@ TEST(BufferPoolTest, RestoreRejectsUnknownCorruptionKind) {
     w.U8(kind);
     BufferPool pool(4);
     SnapshotReader r(w.data());
-    pool.RestoreState(r);
+    pool.RestoreState(r, 1);
     return r.AtEnd();
   };
   EXPECT_TRUE(restore_with_kind(static_cast<uint8_t>(CorruptionKind::kScrub)));

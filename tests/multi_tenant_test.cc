@@ -158,8 +158,6 @@ TEST(MultiTenantTest, CoordinatorEmitsGrantsAndRevokes) {
   MultiTenantOptions opt = SmallFleet(2, 1);
   opt.coordinator_period = 2;
   opt.global_io_frac = 0.10;
-  opt.min_shard_frac = 0.02;
-  opt.max_shard_frac = 0.30;
   MultiTenantEngine engine(opt);
   // Unbalanced tenancy: client 0 (shard 0) churns hard, client 1
   // (shard 1) is a slow reader producing almost no garbage.

@@ -360,5 +360,38 @@ TEST(OverloadSimTest, SafeModeStateSurvivesCrashResume) {
   RemoveCheckpointFiles(ckpt);
 }
 
+TEST(OverloadSimTest, RestoreRejectsASafeModeFlagTheGovernorDisagreesWith) {
+  // The simulation's safe-mode byte follows the governor's GOVE tag and
+  // must repeat the governor's own flag.
+  SimConfig cfg = LazyConfig(0, /*governor=*/true);
+  cfg.fixed_rate_overwrites = 200;
+  cfg.governor.safe_mode_flip_frac = 0.0;
+  cfg.governor.safe_mode_window = 3;
+  const Trace trace = Churn(9);
+  Simulation sim(cfg);
+  for (const TraceEvent& event : trace.events()) sim.Apply(event);
+  SnapshotWriter w;
+  sim.SaveState(w);
+  std::string payload = w.Take();
+  const size_t tag = payload.find("GOVE");
+  ASSERT_NE(tag, std::string::npos);
+  ASSERT_EQ(payload.rfind("GOVE"), tag);
+  const size_t flag = tag + 4;
+  ASSERT_EQ(payload[flag], 1);  // the run is in safe mode
+
+  Simulation intact(cfg);
+  SnapshotReader ok_reader(payload);
+  intact.RestoreState(ok_reader);
+  EXPECT_TRUE(ok_reader.AtEnd()) << ok_reader.error();
+
+  payload[flag] = 0;
+  Simulation flipped(cfg);
+  SnapshotReader r(payload);
+  flipped.RestoreState(r);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error().find("safe-mode flag"), std::string::npos)
+      << r.error();
+}
+
 }  // namespace
 }  // namespace odbgc

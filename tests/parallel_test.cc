@@ -521,73 +521,5 @@ TEST(DeterminismTest, RepeatedPooledRunsAgree) {
   EXPECT_GT(runner.cache().hits(), 0u);
 }
 
-TEST(TraceCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
-  TraceCache cache;
-  // Fixed-size synthetic traces so the byte arithmetic is exact.
-  cache.set_generator_for_test([](const Oo7Params&, uint64_t seed) {
-    auto t = std::make_shared<Trace>();
-    for (int i = 0; i < 100; ++i) {
-      t->Append(ReadEvent(static_cast<uint32_t>(seed)));
-    }
-    return t;
-  });
-  Oo7Params params = Oo7Params::Tiny();
-  std::shared_ptr<const Trace> a = cache.GetOo7(params, 1);
-  const size_t one_trace = a->size() * sizeof(TraceEvent);
-  // Room for exactly two traces.
-  cache.set_byte_budget(2 * one_trace);
-  cache.GetOo7(params, 2);
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_EQ(cache.retained_bytes(), 2 * one_trace);
-
-  // Touch seed 1 so seed 2 is the LRU victim when seed 3 arrives.
-  cache.GetOo7(params, 1);
-  cache.GetOo7(params, 3);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.retained_bytes(), 2 * one_trace);
-
-  // Seed 1 survived (hit); seed 2 was evicted (regenerates as a miss).
-  const uint64_t misses_before = cache.misses();
-  std::shared_ptr<const Trace> a2 = cache.GetOo7(params, 1);
-  EXPECT_EQ(a2.get(), a.get());
-  EXPECT_EQ(cache.misses(), misses_before);
-  cache.GetOo7(params, 2);
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-  EXPECT_EQ(cache.evictions(), 2u);  // the insert pushed out another entry
-}
-
-TEST(TraceCacheTest, EvictionNeverInvalidatesOutstandingReaders) {
-  TraceCache cache;
-  Oo7Params params = Oo7Params::Tiny();
-  std::shared_ptr<const Trace> held = cache.GetOo7(params, 10);
-  const size_t held_size = held->size();
-  // A budget of one byte evicts everything the cache retains — but the
-  // shared_ptr handed out above keeps the trace alive for its readers.
-  cache.set_byte_budget(1);
-  EXPECT_GE(cache.evictions(), 1u);
-  EXPECT_EQ(cache.retained_bytes(), 0u);
-  EXPECT_EQ(held->size(), held_size);
-  EXPECT_EQ(held.use_count(), 1);
-
-  // An over-budget generation still serves its requester, then drops.
-  std::shared_ptr<const Trace> again = cache.GetOo7(params, 10);
-  ASSERT_NE(again, nullptr);
-  EXPECT_EQ(again->size(), held_size);
-  EXPECT_NE(again.get(), held.get());  // regenerated, not resurrected
-  EXPECT_EQ(cache.retained_bytes(), 0u);
-}
-
-TEST(TraceCacheTest, ZeroBudgetRetainsEverything) {
-  TraceCache cache;
-  Oo7Params params = Oo7Params::Tiny();
-  cache.GetOo7(params, 1);
-  cache.GetOo7(params, 2);
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_GT(cache.retained_bytes(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);
-  cache.GetOo7(params, 1);
-  EXPECT_EQ(cache.hits(), 1u);
-}
-
 }  // namespace
 }  // namespace odbgc

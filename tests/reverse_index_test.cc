@@ -323,13 +323,13 @@ TEST(ReverseIndexChurnTest, VerifierFlagsDesyncedIndices) {
   // partition and stays clean on the others.
   ++store.mutable_object(2).xpart_in_refs;
   const PartitionId damaged = store.object(2).partition;
-  VerifierReport scoped = VerifyPartition(store, damaged, BareOptions());
+  VerifierReport scoped = VerifyPartition(store, damaged);
   EXPECT_FALSE(scoped.ok());
   EXPECT_NE(scoped.Summary().find(where), std::string::npos)
       << scoped.Summary();
   for (PartitionId p = 0; p < store.partition_count(); ++p) {
     if (p == damaged) continue;
-    EXPECT_TRUE(VerifyPartition(store, p, BareOptions()).ok()) << p;
+    EXPECT_TRUE(VerifyPartition(store, p).ok()) << p;
   }
   --store.mutable_object(2).xpart_in_refs;
   ASSERT_TRUE(VerifyHeap(store, BareOptions()).ok());

@@ -36,7 +36,7 @@ TEST(FaultInjectorSelfHealTest, BitflipCorruptsUntilRewriteOrHeal) {
   EXPECT_TRUE(inj.OnRead(P(0, 2)).corrupt);
   // Other pages are unaffected.
   EXPECT_FALSE(inj.OnRead(P(0, 3)).corrupt);
-  inj.HealPage(P(0, 2));
+  inj.HealPartition(0);
   EXPECT_EQ(inj.corrupt_page_count(), 0u);
   EXPECT_FALSE(inj.OnRead(P(0, 2)).corrupt);
 }
@@ -202,9 +202,11 @@ TEST(ScrubberTest, FindsLatentCorruptionAndReportsItAsScrub) {
   ObjectStore store(BitflipStoreConfig());
   for (ObjectId id = 1; id <= 20; ++id) store.CreateObject(id, 512, 2);
   ASSERT_GT(store.partition_count(), 1u);
-  // Flush everything: each written page's stored image is now silently
-  // corrupt, while the cached copies stay good.
-  store.buffer_pool().FlushAll(IoContext::kApplication);
+  // Flush every partition: each written page's stored image is now
+  // silently corrupt, while the cached copies stay good.
+  for (PartitionId p = 0; p < store.partition_count(); ++p) {
+    store.buffer_pool().FlushPartition(p, IoContext::kApplication);
+  }
   const size_t corrupt_pages =
       store.mutable_fault_injector()->corrupt_page_count();
   ASSERT_GT(corrupt_pages, 0u);

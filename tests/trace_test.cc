@@ -58,7 +58,7 @@ TEST(TraceTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(t.SaveTo(path));
 
   Trace loaded;
-  ASSERT_TRUE(Trace::LoadFrom(path, &loaded));
+  ASSERT_EQ(Trace::Load(path, &loaded), TraceLoadError::kNone);
   ASSERT_EQ(loaded.size(), t.size());
   for (size_t i = 0; i < t.size(); ++i) {
     EXPECT_EQ(loaded[i], t[i]) << "event " << i;
@@ -107,14 +107,15 @@ TEST(TraceTest, EmptyTraceRoundTrip) {
   std::string path = TempPath("empty.trace");
   ASSERT_TRUE(t.SaveTo(path));
   Trace loaded;
-  ASSERT_TRUE(Trace::LoadFrom(path, &loaded));
+  ASSERT_EQ(Trace::Load(path, &loaded), TraceLoadError::kNone);
   EXPECT_TRUE(loaded.empty());
   std::remove(path.c_str());
 }
 
 TEST(TraceTest, LoadRejectsMissingFile) {
   Trace t;
-  EXPECT_FALSE(Trace::LoadFrom(TempPath("does_not_exist.trace"), &t));
+  EXPECT_EQ(Trace::Load(TempPath("does_not_exist.trace"), &t),
+            TraceLoadError::kOpenFailed);
 }
 
 TEST(TraceTest, LoadRejectsBadMagic) {
@@ -125,7 +126,7 @@ TEST(TraceTest, LoadRejectsBadMagic) {
   std::fwrite(junk, 1, sizeof(junk), f);
   std::fclose(f);
   Trace t;
-  EXPECT_FALSE(Trace::LoadFrom(path, &t));
+  EXPECT_EQ(Trace::Load(path, &t), TraceLoadError::kBadMagic);
   std::remove(path.c_str());
 }
 
@@ -143,7 +144,7 @@ TEST(TraceTest, LoadRejectsTruncatedFile) {
   std::fclose(f);
   ASSERT_EQ(truncate(path.c_str(), size - 8), 0);
   Trace loaded;
-  EXPECT_FALSE(Trace::LoadFrom(path, &loaded));
+  EXPECT_EQ(Trace::Load(path, &loaded), TraceLoadError::kTruncatedEvents);
   std::remove(path.c_str());
 }
 
@@ -165,7 +166,7 @@ TEST(TraceTest, ClusteringHintSurvivesRoundTrip) {
   std::string path = TempPath("hints.trace");
   ASSERT_TRUE(t.SaveTo(path));
   Trace loaded;
-  ASSERT_TRUE(Trace::LoadFrom(path, &loaded));
+  ASSERT_EQ(Trace::Load(path, &loaded), TraceLoadError::kNone);
   ASSERT_EQ(loaded.size(), 4u);
   EXPECT_EQ(loaded[1].d, 1u);            // the hint
   EXPECT_EQ(loaded[2].kind, EventKind::kIdleMark);
@@ -188,7 +189,7 @@ TEST(TraceTest, LoadRejectsUnknownEventKind) {
   ASSERT_EQ(std::fwrite(&bogus, sizeof(bogus), 1, f), 1u);
   std::fclose(f);
   Trace loaded;
-  EXPECT_FALSE(Trace::LoadFrom(path, &loaded));
+  EXPECT_EQ(Trace::Load(path, &loaded), TraceLoadError::kBadEventKind);
   std::remove(path.c_str());
 }
 

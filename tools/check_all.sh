@@ -205,9 +205,9 @@ EOF
 # every thread count the same way fails too.
 mt_bench="$PWD/build-check/bench/ext_multi_tenant"
 (cd "$bench_dir" && "$mt_bench" --clients=100 --threads=1 \
-    --check-threads=0 --trace-cache-mb=1 --json-out=mt1.json > /dev/null)
+    --check-threads=0 --json-out=mt1.json > /dev/null)
 (cd "$bench_dir" && "$mt_bench" --clients=100 --threads=3 \
-    --check-threads=0 --trace-cache-mb=1 --json-out=mt3.json > /dev/null)
+    --check-threads=0 --json-out=mt3.json > /dev/null)
 python3 - "$bench_dir" BENCH_multi_tenant.json <<'EOF'
 import json, sys
 d = sys.argv[1]

@@ -225,9 +225,10 @@ int main(int argc, char** argv) {
   Trace trace;
   std::string trace_path = flags.GetString("trace", "");
   if (!trace_path.empty()) {
-    if (!Trace::LoadFrom(trace_path, &trace)) {
-      std::fprintf(stderr, "error: cannot read trace '%s'\n",
-                   trace_path.c_str());
+    const TraceLoadError load = Trace::Load(trace_path, &trace);
+    if (load != TraceLoadError::kNone) {
+      std::fprintf(stderr, "error: cannot read trace '%s': %s\n",
+                   trace_path.c_str(), TraceLoadErrorName(load));
       return kExitIo;
     }
   } else if (!tools::BuildWorkloadTrace(flags, &trace, &error)) {

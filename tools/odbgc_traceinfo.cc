@@ -34,8 +34,10 @@ int main(int argc, char** argv) {
   }
   const std::string& path = flags.positional()[0];
   Trace trace;
-  if (!Trace::LoadFrom(path, &trace)) {
-    std::fprintf(stderr, "error: cannot read trace '%s'\n", path.c_str());
+  const TraceLoadError load = Trace::Load(path, &trace);
+  if (load != TraceLoadError::kNone) {
+    std::fprintf(stderr, "error: cannot read trace '%s': %s\n", path.c_str(),
+                 TraceLoadErrorName(load));
     return 1;
   }
 
