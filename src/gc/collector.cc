@@ -34,90 +34,81 @@ void Collector::PlanPartition(const ObjectStore& store, PartitionId partition,
   plan->new_used = 0;
   plan->reclaimed_bytes = 0;
 
+  // `unvisited_` is a word-packed bitmap over object ids holding exactly
+  // the partition's live objects not reached yet. One TestAndClear is
+  // then both the partition test and the first-visit test, so the walk
+  // never loads the header of a slot target in another partition. It is
+  // all clear between plans: it only grows to cover new ids, and the
+  // reclaim pass below clears the bits the walk left.
+  unvisited_.GrowTo(store.max_object_id() + 1);
+  const ObjectRecord* headers = store.header_arena();
+  const std::vector<ObjectId>& resident = store.partition(partition).objects();
+  const size_t resident_count = resident.size();
   // Partition roots: global roots in this partition, plus objects with at
   // least one referencing slot held by an object outside this partition
   // (the store's cross-partition in-ref counters answer that in O(1) per
-  // object; the reverse-index lists are never scanned).
-  //
-  // Marking uses a word-packed bitmap over object ids: TestAndSet makes
-  // first-visit detection one masked or, and the whole mark state of a
-  // database-sized id space stays L1-resident. copy_order doubles as the
-  // BFS worklist (head cursor), which makes it exactly the Cheney
-  // breadth-first copy order.
-  mark_scratch_.Reset(store.max_object_id() + 1);
-  const ObjectRecord* headers = store.header_arena();
-  uint32_t new_used = 0;
-  auto visit = [&](ObjectId id) {
-    if (mark_scratch_.TestAndSet(id)) {
-      copy_order.push_back(id);
-      new_used += headers[id].size;
-    }
-  };
-  for (ObjectId root : store.roots()) {
-    if (headers[root].partition == partition) visit(root);
+  // object; the reverse-index lists are never scanned). The resident pass
+  // lists the latter to visit after the global roots.
+  std::vector<ObjectId>& xpart = xpart_scratch_;
+  xpart.clear();
+  for (size_t i = 0; i < resident_count; ++i) {
+    // Resident ids are dense in the list but their headers are not;
+    // stream the header loads ahead of the xpart test.
+    if (i + 8 < resident_count) __builtin_prefetch(&headers[resident[i + 8]]);
+    const ObjectId id = resident[i];
+    ODBGC_CHECK_MSG(store.Exists(id), "partition lists a destroyed object");
+    unvisited_.Set(id);
+    if (headers[id].xpart_in_refs > 0) xpart.push_back(id);
   }
+
+  // copy_order doubles as the BFS worklist (head cursor), which makes it
+  // exactly the Cheney breadth-first copy order.
+  auto visit = [&](ObjectId id) {
+    if (unvisited_.TestAndClear(id)) copy_order.push_back(id);
+  };
+  for (ObjectId root : store.roots()) visit(root);
   // Externally pinned objects (the cross-shard remembered set): a
   // referencer in another store holds them live, exactly as an in-store
   // cross-partition in-ref would. The pin list is sorted by id, so this
   // walk is deterministic.
   for (const auto& [pinned, count] : store.external_pins()) {
     (void)count;
-    if (store.Exists(pinned) && headers[pinned].partition == partition) {
-      visit(pinned);
-    }
+    if (store.Exists(pinned)) visit(pinned);
   }
   // The newest allocation is pinned: the application still holds a
   // transient reference to it even if it is not linked in yet.
   const ObjectId newest = store.newest_object();
-  if (newest != kNullObject && store.Exists(newest) &&
-      headers[newest].partition == partition) {
-    visit(newest);
-  }
-  const Partition& part = store.partition(partition);
-  const std::vector<ObjectId>& resident = part.objects();
-  const size_t resident_count = resident.size();
-  for (size_t i = 0; i < resident_count; ++i) {
-    // Resident ids are dense in the list but their headers are not;
-    // stream the header loads ahead of the xpart test.
-    if (i + 8 < resident_count) __builtin_prefetch(&headers[resident[i + 8]]);
-    const ObjectId id = resident[i];
-    if (!store.Exists(id)) continue;
-    if (headers[id].xpart_in_refs > 0) visit(id);
-  }
+  if (newest != kNullObject && store.Exists(newest)) visit(newest);
+  for (ObjectId id : xpart) visit(id);
 
-  // Cheney breadth-first traversal; pointers leaving the partition are
+  // Cheney breadth-first traversal; pointers leaving the partition, and
+  // null slots (id 0 is never resident), find their bit clear and are
   // not traversed.
   const Slot* slot_arena = store.slot_arena();
+  uint32_t new_used = 0;
   for (size_t head = 0; head < copy_order.size(); ++head) {
     if (head + 1 < copy_order.size()) {
       // Pull the next worklist entry's slot range in while this one scans.
       __builtin_prefetch(slot_arena + headers[copy_order[head + 1]].slot_begin);
     }
     const ObjectRecord& rec = headers[copy_order[head]];
+    new_used += rec.size;
     const Slot* slots = slot_arena + rec.slot_begin;
     const uint32_t n = rec.slot_count;
-    for (uint32_t i = 0; i < n; ++i) {
-      const ObjectId target = slots[i].target;
-      // The next slots' target headers are data-dependent loads; start
-      // them early so the partition test below rarely stalls.
-      if (i + 4 < n && slots[i + 4].target != kNullObject) {
-        __builtin_prefetch(&headers[slots[i + 4].target]);
-      }
-      if (target == kNullObject) continue;
-      if (headers[target].partition != partition) continue;
-      visit(target);
-    }
+    for (uint32_t i = 0; i < n; ++i) visit(slots[i].target);
   }
 
   // Plan the reclaim set and the compacted layout WITHOUT mutating the
   // store: nothing is destroyed or relocated until the flip, so a crash
-  // before the commit point leaves from-space fully authoritative.
-  for (ObjectId id : part.objects()) {
-    if (mark_scratch_.Test(id)) continue;
+  // before the commit point leaves from-space fully authoritative. The
+  // residents still unvisited are the garbage; clearing their bits
+  // leaves the bitmap clear for the next plan.
+  for (ObjectId id : resident) {
+    if (!unvisited_.TestAndClear(id)) continue;
     ODBGC_CHECK_MSG(!store.IsRoot(id), "collector reclaiming a root");
     ODBGC_CHECK_MSG(!store.IsExternallyPinned(id),
                     "collector reclaiming an externally pinned object");
-    plan->reclaimed_bytes += store.object(id).size;
+    plan->reclaimed_bytes += headers[id].size;
     reclaim.push_back(id);
   }
   plan->new_used = new_used;

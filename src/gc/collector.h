@@ -77,12 +77,13 @@ struct RecoveryReport {
 //    positions, improving reference locality.
 //  * Everything not reached is reclaimed.
 //
-// Every collection is split into a read-only *plan* (mark into a bitmap,
-// derive the Cheney copy order, the reclaim set, and the compacted
-// layout — no store mutation, no I/O dependence) and an *apply* (the
-// I/O, the flip, the remembered-set rewrite, the bookkeeping). The split
-// keeps every store mutation after the commit point (step 3 below), and
-// the crash journal holds a copy of the plan.
+// Every collection is split into a read-only *plan* (walk the partition's
+// unvisited live objects in a bitmap, derive the Cheney copy order, the
+// reclaim set, and the compacted layout — no store mutation, no I/O
+// dependence) and an *apply* (the I/O, the flip, the remembered-set
+// rewrite, the bookkeeping). The split keeps every store mutation after
+// the commit point (step 3 below), and the crash journal holds a copy of
+// the plan.
 //
 // I/O model: the collector scans the partition's used pages (reads),
 // writes the compacted survivors, and — because relocation changes object
@@ -184,8 +185,9 @@ class Collector {
     uint32_t size;
   };
 
-  // Marks `partition` into the scratch bitmap and fills `*plan`. Pure
-  // read of the store.
+  // Walks `partition` from its roots over the `unvisited_` bitmap and
+  // fills `*plan`. Pure read of the store; `unvisited_` is all clear
+  // again when it returns.
   void PlanPartition(const ObjectStore& store, PartitionId partition,
                      CollectionPlan* plan);
 
@@ -227,8 +229,11 @@ class Collector {
   uint64_t crash_attempt_ = 0;
   Journal journal_;
 
-  // Scratch reused across collections (no alloc churn).
-  MarkBitmap mark_scratch_;
+  // Scratch reused across collections (no alloc churn). `unvisited_`
+  // holds, during a plan, the partition's live objects the plan has not
+  // reached yet; between plans every bit is clear.
+  MarkBitmap unvisited_;
+  std::vector<ObjectId> xpart_scratch_;
   CollectionPlan plan_scratch_;
   std::vector<RemsetTouch> remset_scratch_;
 };

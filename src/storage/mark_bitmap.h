@@ -9,26 +9,32 @@
 
 namespace odbgc {
 
-// Dense mark bitmap over object ids, one bit per id, packed into 64-bit
-// words. This replaces the epoch-stamped dense mark array: at one bit per
-// object the whole mark state of an OO7 Small' database fits in L1, a
-// Reset is a short memset instead of an epoch bump, and the word layout
-// admits SIMD-style scans — popcount for survivor accounting, ctz-driven
-// iteration that skips clear runs a word (64 ids) at a time.
+// Dense bitmap over object ids, one bit per id, packed into 64-bit
+// words. At one bit per object the whole state of an OO7 Small' database
+// fits in L1, and the word layout admits SIMD-style scans: popcount for
+// accounting, ctz-driven iteration that skips clear runs a word (64 ids)
+// at a time.
 //
-// Users: the collector's per-partition marking (gc/collector.h, one
-// scratch bitmap per collector), and whole-database reachability scans
-// (storage/reachability.h), whose result bitmap exposes the same
-// operator[] the old vector<bool> did.
+// Users: the collector's planner (gc/collector.h), which keeps one
+// bitmap of its partition's unvisited live objects and leaves it all
+// clear after every plan, so it only ever grows (GrowTo) and never
+// needs a clearing pass; and whole-database reachability scans
+// (storage/reachability.h), which Reset a fresh result bitmap per scan.
 class MarkBitmap {
  public:
   MarkBitmap() = default;
 
   // Sizes the bitmap to cover bit indices [0, bits) and clears every bit.
-  // Word storage is retained across Resets, so a per-collection Reset
-  // costs one memset of bits/8 bytes and no allocator traffic once the
-  // high-water mark is reached.
+  // Word storage is retained across Resets, so a repeated Reset costs one
+  // memset of bits/8 bytes and no allocator traffic once the high-water
+  // mark is reached.
   void Reset(size_t bits);
+
+  // Covers at least bit indices [0, bits): words that come into range
+  // start clear, words already in range keep their bits, and the bitmap
+  // never shrinks. A user that clears every bit it sets pays nothing per
+  // call beyond the growth itself.
+  void GrowTo(size_t bits);
 
   // Number of bit indices covered (operator[] below this is valid).
   size_t size() const { return bits_; }
@@ -46,6 +52,15 @@ class MarkBitmap {
     const uint64_t mask = uint64_t{1} << (i & 63);
     if (w & mask) return false;
     w |= mask;
+    return true;
+  }
+
+  // Clears bit i; true iff it was set (the caller owns the one visit).
+  bool TestAndClear(size_t i) {
+    uint64_t& w = words_[i >> 6];
+    const uint64_t mask = uint64_t{1} << (i & 63);
+    if (!(w & mask)) return false;
+    w &= ~mask;
     return true;
   }
 

@@ -450,11 +450,45 @@ void ObjectStore::RestoreState(SnapshotReader& r) {
     }
   }
 
+  // The collector's planner sets one bitmap bit per listed id and takes
+  // the lists as the partition test, so every listed id must name a live
+  // object whose header places it in that partition, and every live
+  // object must be listed exactly once.
+  if (!r.ok()) return;
+  std::vector<uint8_t> listed(objects_.size(), 0);
+  for (const Partition& part : partitions_) {
+    for (ObjectId id : part.objects()) {
+      if (id >= objects_.size() || !objects_[id].exists ||
+          objects_[id].partition != part.id()) {
+        r.MarkMalformed("partition lists an object placed elsewhere");
+        return;
+      }
+      if (listed[id] != 0) {
+        r.MarkMalformed("partition lists an object twice");
+        return;
+      }
+      listed[id] = 1;
+    }
+  }
+  for (size_t i = 0; i < objects_.size(); ++i) {
+    if (objects_[i].exists && listed[i] == 0) {
+      r.MarkMalformed("live object missing from its partition's list");
+      return;
+    }
+  }
+
   std::vector<uint32_t> pin_ids;
   std::vector<uint32_t> pin_counts;
   std::vector<uint32_t> quarantined_ids;
   Persist(r, roots_, pin_ids, pin_counts, newest_object_, alloc_cursor_,
           quarantined_ids);
+  // The planner tests every global root's bit by id.
+  for (ObjectId root : roots_) {
+    if (!Exists(root)) {
+      r.MarkMalformed("root names no live object");
+      return;
+    }
+  }
   if (pin_counts.size() != pin_ids.size()) {
     r.MarkMalformed("external pin id/count length mismatch");
     return;

@@ -16,9 +16,11 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "gc/collector.h"
 #include "oo7/params.h"
 #include "sim/checkpoint.h"
 #include "sim/errors.h"
@@ -192,6 +194,100 @@ TEST(SnapshotTest, StoreRestoreRejectsAnObjectCountBeyondTheSnapshot) {
   SnapshotReader r(bytes);
   restored.RestoreState(r);
   EXPECT_FALSE(r.ok());
+}
+
+// Re-encodes a saved store with partition i's resident list replaced by
+// lists[i]; every byte after the partition section is kept.
+std::string WithPartitionLists(
+    const std::string& saved, uint32_t partition_bytes,
+    const std::vector<std::vector<ObjectId>>& lists) {
+  SnapshotReader r(saved);
+  r.Tag("STOR");
+  const uint64_t count = r.U64();
+  EXPECT_EQ(count, lists.size());
+  SnapshotWriter w;
+  w.Tag("STOR");
+  w.U64(count);
+  for (uint64_t i = 0; i < count && i < lists.size(); ++i) {
+    Partition part(static_cast<PartitionId>(i), partition_bytes);
+    part.RestoreState(r);
+    part.ResetAfterCollection(lists[i], part.used());
+    part.SaveState(w);
+  }
+  EXPECT_TRUE(r.ok()) << r.error();
+  return w.data() + saved.substr(saved.size() - r.remaining());
+}
+
+StoreConfig TwoPartitionStoreConfig() {
+  StoreConfig cfg;
+  cfg.partition_bytes = 4096;
+  cfg.page_bytes = 512;
+  cfg.buffer_pages = 8;
+  cfg.pin_newest_allocation = false;
+  return cfg;
+}
+
+// Object 1 (the root) fills partition 0; partition 1 holds 2, live via
+// 1, and held 3 until a collection destroyed it.
+std::string SavedTwoPartitionStore() {
+  ObjectStore store(TwoPartitionStoreConfig());
+  store.CreateObject(1, 4000, 1);
+  store.CreateObject(2, 100, 0);
+  store.CreateObject(3, 100, 0);
+  store.AddRoot(1);
+  store.WriteRef(1, 0, 2);
+  Collector().Collect(store, 1);
+  EXPECT_FALSE(store.Exists(3));
+  EXPECT_EQ(store.partition(0).objects(), std::vector<ObjectId>{1});
+  EXPECT_EQ(store.partition(1).objects(), std::vector<ObjectId>{2});
+  SnapshotWriter w;
+  store.SaveState(w);
+  return w.Take();
+}
+
+// The collector plans over the partition lists without consulting the
+// headers, so a list the headers disagree with must not restore.
+TEST(SnapshotTest, StoreRestoreRejectsPartitionListsTheHeadersDisagreeWith) {
+  const StoreConfig cfg = TwoPartitionStoreConfig();
+  const std::string saved = SavedTwoPartitionStore();
+  auto restores = [&](const std::vector<std::vector<ObjectId>>& lists) {
+    const std::string bytes =
+        WithPartitionLists(saved, cfg.partition_bytes, lists);
+    ObjectStore restored(cfg);
+    SnapshotReader r(bytes);
+    restored.RestoreState(r);
+    return r.ok();
+  };
+  EXPECT_TRUE(restores({{1}, {2}}));
+  EXPECT_FALSE(restores({{1}, {2, 0x7FFFFFF0}})) << "an id past the store";
+  EXPECT_FALSE(restores({{1}, {2, 3}})) << "a destroyed id";
+  EXPECT_FALSE(restores({{1, 2}, {}})) << "an id in the wrong partition";
+  EXPECT_FALSE(restores({{1}, {2, 2}})) << "an id listed twice";
+  EXPECT_FALSE(restores({{1}, {}})) << "an unlisted object";
+}
+
+// The planner visits every global root by id, so a restored root must
+// name a live object.
+TEST(SnapshotTest, StoreRestoreRejectsARootThatNamesNoObject) {
+  const StoreConfig cfg = TwoPartitionStoreConfig();
+  std::string bytes = SavedTwoPartitionStore();
+  // The root list [1] ends 36 bytes before the POOL tag: the root id,
+  // then two empty pin lists (8 bytes each), the newest object and the
+  // allocation cursor (4 each), and an empty quarantine list (8).
+  const size_t pool = bytes.find("POOL");
+  ASSERT_NE(pool, std::string::npos);
+  for (const uint32_t root : {3u, 0x7FFFFFF0u}) {
+    std::string patched = bytes;
+    PatchU32(&patched, pool - 36, root);
+    ObjectStore restored(cfg);
+    SnapshotReader r(patched);
+    restored.RestoreState(r);
+    EXPECT_FALSE(r.ok()) << "root " << root;
+  }
+  ObjectStore restored(cfg);
+  SnapshotReader r(bytes);
+  restored.RestoreState(r);
+  EXPECT_TRUE(r.ok()) << r.error();
 }
 
 TEST(SnapshotTest, ResultRestoreRejectsUnknownQuarantineKind) {

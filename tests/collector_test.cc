@@ -458,5 +458,162 @@ TEST(CollectorReuseTest, Oo7ReplayWithFrequentCollections) {
   twin.ExpectSameStores();
 }
 
+// --- The unvisited-bitmap planner against a header-walk reference ---
+//
+// The planner takes the partition test from a bitmap of the partition's
+// unvisited live objects and leaves it clear after every plan. The
+// reference below is the header-walk planner it replaced: a fresh mark
+// bitmap per plan and a header load per slot target to test its
+// partition, in the same visit order (global roots, external pins, the
+// newest allocation, cross-partition roots in resident order, then the
+// Cheney walk). A bit left over from an earlier plan would put another
+// partition's object into the copy order.
+
+struct ReferencePlan {
+  std::vector<ObjectId> copy_order;
+  std::vector<ObjectId> reclaim;
+  uint64_t new_used = 0;
+  uint64_t reclaimed_bytes = 0;
+};
+
+ReferencePlan HeaderWalkPlan(const ObjectStore& store, PartitionId partition) {
+  ReferencePlan plan;
+  std::vector<bool> marked(store.max_object_id() + 1, false);
+  auto in_partition = [&](ObjectId id) {
+    return store.Exists(id) && store.object(id).partition == partition;
+  };
+  auto visit = [&](ObjectId id) {
+    if (marked[id]) return;
+    marked[id] = true;
+    plan.copy_order.push_back(id);
+    plan.new_used += store.object(id).size;
+  };
+  for (ObjectId root : store.roots()) {
+    if (in_partition(root)) visit(root);
+  }
+  for (const auto& [pinned, count] : store.external_pins()) {
+    (void)count;
+    if (in_partition(pinned)) visit(pinned);
+  }
+  const ObjectId newest = store.newest_object();
+  if (in_partition(newest)) visit(newest);
+  const std::vector<ObjectId>& resident = store.partition(partition).objects();
+  for (ObjectId id : resident) {
+    if (store.object(id).xpart_in_refs > 0) visit(id);
+  }
+  for (size_t head = 0; head < plan.copy_order.size(); ++head) {
+    for (const Slot& slot : store.slots(plan.copy_order[head])) {
+      if (in_partition(slot.target)) visit(slot.target);
+    }
+  }
+  for (ObjectId id : resident) {
+    if (marked[id]) continue;
+    plan.reclaimed_bytes += store.object(id).size;
+    plan.reclaim.push_back(id);
+  }
+  return plan;
+}
+
+// Collects `p` with `gc` and checks the result against the reference
+// plan computed just before.
+void CollectAgainstReference(Collector& gc, ObjectStore& store,
+                             PartitionId p) {
+  const ReferencePlan expected = HeaderWalkPlan(store, p);
+  const uint64_t collection = gc.collections_performed();
+  const CollectionReport report = gc.Collect(store, p);
+  EXPECT_EQ(store.partition(p).objects(), expected.copy_order)
+      << "collection " << collection << " of partition " << p;
+  for (ObjectId id : expected.reclaim) {
+    EXPECT_FALSE(store.Exists(id)) << "object " << id << " in collection "
+                                   << collection << " of partition " << p;
+  }
+  EXPECT_EQ(report.bytes_live, expected.new_used)
+      << "collection " << collection << " of partition " << p;
+  EXPECT_EQ(report.bytes_reclaimed, expected.reclaimed_bytes)
+      << "collection " << collection << " of partition " << p;
+  EXPECT_EQ(report.objects_reclaimed, expected.reclaim.size())
+      << "collection " << collection << " of partition " << p;
+}
+
+TEST(CollectorTest, PlanMatchesHeaderWalkReference) {
+  // One collector serves both stores, so its bitmap, sized by the larger
+  // OO7 store, must come back clear from every plan.
+  Collector gc;
+
+  // An OO7 Tiny application with every partition collected after every
+  // 8th event, as in Oo7ReplayWithFrequentCollections.
+  {
+    Oo7Generator gen(Oo7Params::Tiny(), 11);
+    const Trace trace = gen.GenerateFullApplication();
+    StoreConfig cfg;
+    cfg.partition_bytes = 16 * 1024;
+    cfg.page_bytes = 2 * 1024;
+    cfg.buffer_pages = 8;
+    ObjectStore store(cfg);
+    for (size_t i = 0; i < trace.size(); ++i) {
+      ApplyToStore(trace[i], &store);
+      if (i % 8 != 7) continue;
+      for (PartitionId p = 0; p < store.partition_count(); ++p) {
+        CollectAgainstReference(gc, store, p);
+        if (HasFailure()) return;
+      }
+    }
+    ASSERT_GT(gc.collections_performed(), 1000u);
+  }
+
+  // A hand-built store with every kind of partition root: global roots in
+  // both partitions, an external pin, the newest-allocation pin, and a
+  // garbage cycle across the two partitions.
+  StoreConfig cfg = SmallStore();
+  cfg.pin_newest_allocation = true;
+  ObjectStore store(cfg);
+  store.CreateObject(1, 1000, 2);  // p0: global root
+  store.CreateObject(2, 1000, 1);  // p0: live via 1 and via 23
+  store.CreateObject(3, 1000, 0);  // p0: live via 2
+  store.CreateObject(4, 1096, 1);  // p0: cycle with 21 (fills p0)
+  store.CreateObject(20, 500, 1);  // p1: live via 1
+  store.CreateObject(21, 500, 1);  // p1: cycle with 4
+  store.CreateObject(22, 500, 0);  // p1: live via 20
+  store.CreateObject(23, 500, 1);  // p1: global root
+  store.CreateObject(24, 500, 0);  // p1: externally pinned
+  store.CreateObject(25, 500, 1);  // p1: garbage, points into p0
+  store.CreateObject(26, 500, 0);  // p1: the newest allocation
+  ASSERT_EQ(store.object(4).partition, 0u);
+  ASSERT_EQ(store.object(20).partition, 1u);
+  store.AddRoot(1);
+  store.AddRoot(23);
+  store.AddExternalPin(24);
+  store.WriteRef(1, 0, 2);
+  store.WriteRef(1, 1, 20);
+  store.WriteRef(2, 0, 3);
+  store.WriteRef(4, 0, 21);
+  store.WriteRef(21, 0, 4);
+  store.WriteRef(20, 0, 22);
+  store.WriteRef(23, 0, 2);
+  store.WriteRef(25, 0, 3);
+  for (int round = 0; round < 2; ++round) {
+    CollectAgainstReference(gc, store, 0);
+    CollectAgainstReference(gc, store, 1);
+  }
+  EXPECT_TRUE(store.Exists(4));   // the cycle floats: each half is an
+  EXPECT_TRUE(store.Exists(21));  // external root of the other's
+  EXPECT_FALSE(store.Exists(25));
+  EXPECT_TRUE(store.Exists(26));
+  // Unroot 23 and unpin 24: collecting p1 reclaims both, which drops 23's
+  // reference into p0, and a new allocation takes over the newest pin.
+  store.RemoveRoot(23);
+  store.RemoveExternalPin(24);
+  store.CreateObject(27, 100, 0);
+  for (int round = 0; round < 2; ++round) {
+    CollectAgainstReference(gc, store, 1);
+    CollectAgainstReference(gc, store, 0);
+  }
+  EXPECT_FALSE(store.Exists(23));
+  EXPECT_FALSE(store.Exists(24));
+  EXPECT_FALSE(store.Exists(26));
+  EXPECT_TRUE(store.Exists(2));
+  EXPECT_TRUE(store.Exists(27));
+}
+
 }  // namespace
 }  // namespace odbgc

@@ -1,5 +1,6 @@
 #include "storage/mark_bitmap.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -59,6 +60,65 @@ TEST(MarkBitmapTest, ResetRetainsNoStaleBitsAcrossSizes) {
   bm.Set(10);
   bm.Reset(200);
   for (size_t i = 0; i < 200; ++i) EXPECT_FALSE(bm.Test(i)) << i;
+}
+
+TEST(MarkBitmapTest, GrowToKeepsSetBitsClearsNewWordsNeverShrinks) {
+  MarkBitmap bm;
+  bm.GrowTo(70);
+  EXPECT_EQ(bm.size(), 70u);
+  EXPECT_EQ(bm.word_count(), 2u);
+  for (size_t i = 0; i < 70; ++i) EXPECT_FALSE(bm.Test(i)) << i;
+  bm.Set(0);
+  bm.Set(63);
+  bm.Set(69);
+  // Growing inside the last word, then by whole words, keeps every set
+  // bit and brings only clear bits into range.
+  bm.GrowTo(100);
+  bm.GrowTo(300);
+  EXPECT_EQ(bm.size(), 300u);
+  EXPECT_EQ(bm.word_count(), 5u);
+  for (size_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(bm.Test(i), i == 0 || i == 63 || i == 69) << i;
+  }
+  // A smaller request is a no-op.
+  bm.GrowTo(10);
+  EXPECT_EQ(bm.size(), 300u);
+  EXPECT_TRUE(bm.Test(69));
+  EXPECT_EQ(bm.CountSet(), 3u);
+}
+
+TEST(MarkBitmapTest, GrowToAfterAShrinkingResetBringsNoStaleBits) {
+  MarkBitmap bm;
+  bm.Reset(256);
+  for (size_t i = 0; i < 256; ++i) bm.Set(i);
+  bm.Reset(64);  // words 1-3 keep their storage and their old bits
+  bm.Set(5);
+  bm.GrowTo(256);
+  for (size_t i = 0; i < 256; ++i) EXPECT_EQ(bm.Test(i), i == 5) << i;
+}
+
+TEST(MarkBitmapTest, TestAndClearAtWordBoundaries) {
+  MarkBitmap bm;
+  bm.GrowTo(256);
+  const std::vector<size_t> edges = {0, 1, 62, 63, 64, 65, 127, 128,
+                                     191, 192, 254, 255};
+  for (size_t i : edges) bm.Set(i);
+  for (size_t i = 0; i < 256; ++i) {
+    const bool was_set =
+        std::find(edges.begin(), edges.end(), i) != edges.end();
+    EXPECT_EQ(bm.TestAndClear(i), was_set) << i;
+    // The bit is clear afterwards, and a second call reports nothing.
+    EXPECT_FALSE(bm.Test(i)) << i;
+    EXPECT_FALSE(bm.TestAndClear(i)) << i;
+  }
+  // Clearing one bit leaves its word neighbours set.
+  bm.Set(63);
+  bm.Set(64);
+  bm.Set(65);
+  EXPECT_TRUE(bm.TestAndClear(64));
+  EXPECT_TRUE(bm.Test(63));
+  EXPECT_TRUE(bm.Test(65));
+  EXPECT_EQ(bm.CountSet(), 2u);
 }
 
 // ctz-driven iteration must agree with the naive per-bit loop on random

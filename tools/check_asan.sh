@@ -9,9 +9,10 @@
 # frame that started them, even when Run() unwinds, the OO7 generator's
 # id-indexed shadow graph, the CLI's flag range rules, the in-ref list's
 # inline-to-heap spill and swap-erase, the trace loader's object-id
-# rejection, the replay into a store reserved from the trace, and the
-# trace cache's shared slots (concurrent waiters, failed generation),
-# which otherwise run only under TSan. Then it runs a short chaos soak
+# rejection, the replay into a store reserved from the trace, the mark
+# bitmap's unchecked word indexing (GrowTo, TestAndClear), and the trace
+# cache's shared slots (concurrent waiters, failed generation), which
+# otherwise run only under TSan. Then it runs a short chaos soak
 # and recovery fuzz on the sanitized odbgc_run: those scripts are the
 # only end-to-end drivers of the collector's crash and corrupt-abort
 # branches.
@@ -24,7 +25,8 @@ TESTS=(fault_injection_test self_healing_test recovery_test buffer_pool_test
        fuzz_test storage_test collector_test checkpoint_test
        stream_determinism_test golden_output_test overload_test
        multi_tenant_test client_mux_test oo7_test flags_test
-       reverse_index_test trace_test simulation_test parallel_test)
+       reverse_index_test trace_test simulation_test parallel_test
+       mark_bitmap_test)
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
